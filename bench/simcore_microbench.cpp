@@ -9,9 +9,9 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "harness/preset.hpp"
+#include "harness/sim_cluster.hpp"
 #include "harness/sweep.hpp"
 #include "mpi/minimpi.hpp"
-#include "net/fabric.hpp"
 #include "sim/engine.hpp"
 #include "storage/storage.hpp"
 #include "workloads/microbench.hpp"
@@ -110,28 +110,34 @@ void BM_StorageRebalance(benchmark::State& state) {
 }
 BENCHMARK(BM_StorageRebalance)->Arg(8)->Arg(64);
 
+/// Preset of a one-shard, `n`-rank cluster: SimCluster builds it the same
+/// way every production run is built, deferral gate included.
+harness::ClusterPreset stack_preset(int n) {
+  harness::ClusterPreset p;
+  p.nranks = n;
+  return p;
+}
+
+sim::Task<void> ping_pong_rank(mpi::RankCtx& rk, int n) {
+  const mpi::Comm& wc = rk.mpi().world();
+  for (int i = 0; i < n; ++i) {
+    if (rk.world_rank() == 0) {
+      co_await rk.send(wc, 1, 0, 4096);
+      co_await rk.recv(wc, 1, 1);
+    } else {
+      co_await rk.recv(wc, 0, 0);
+      co_await rk.send(wc, 0, 1, 4096);
+    }
+  }
+}
+
 void BM_MpiPingPong(benchmark::State& state) {
   const int msgs = 200;
   for (auto _ : state) {
-    sim::Engine eng;
-    net::Fabric fabric(eng, {}, 2);
-    mpi::MiniMPI mpi(eng, fabric, {});
-    for (int r = 0; r < 2; ++r) {
-      eng.spawn([](mpi::MiniMPI& m, int me, int n) -> sim::Task<void> {
-        auto& rk = m.rank(me);
-        const mpi::Comm& wc = m.world();
-        for (int i = 0; i < n; ++i) {
-          if (me == 0) {
-            co_await rk.send(wc, 1, 0, 4096);
-            co_await rk.recv(wc, 1, 1);
-          } else {
-            co_await rk.recv(wc, 0, 0);
-            co_await rk.send(wc, 0, 1, 4096);
-          }
-        }
-      }(mpi, r, msgs));
-    }
-    eng.run();
+    harness::SimCluster cluster(stack_preset(2));
+    cluster.spawn_ranks(
+        [&](mpi::RankCtx& rk) { return ping_pong_rank(rk, msgs); });
+    cluster.run();
   }
   state.SetItemsProcessed(state.iterations() * msgs * 2);
 }
@@ -161,41 +167,42 @@ void BM_MsgAlloc(benchmark::State& state) {
 }
 BENCHMARK(BM_MsgAlloc);
 
+sim::Task<void> allreduce_rank(mpi::RankCtx& rk) {
+  for (int i = 0; i < 10; ++i) {
+    (void)co_await rk.allreduce(rk.mpi().world(), mpi::Op::kSum,
+                                mpi::vec(1.0));
+  }
+}
+
 void BM_Allreduce(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::Engine eng;
-    net::Fabric fabric(eng, {}, n);
-    mpi::MiniMPI mpi(eng, fabric, {});
-    for (int r = 0; r < n; ++r) {
-      eng.spawn([](mpi::MiniMPI& m, int me) -> sim::Task<void> {
-        auto& rk = m.rank(me);
-        for (int i = 0; i < 10; ++i) {
-          (void)co_await rk.allreduce(m.world(), mpi::Op::kSum,
-                                      mpi::vec(1.0));
-        }
-      }(mpi, r));
-    }
-    eng.run();
+    harness::SimCluster cluster(stack_preset(n));
+    cluster.spawn_ranks(allreduce_rank);
+    cluster.run();
   }
   state.SetItemsProcessed(state.iterations() * 10);
 }
 BENCHMARK(BM_Allreduce)->Arg(8)->Arg(32);
 
+// One group checkpoint cycle on a 32-rank cluster. Construction and
+// teardown of the cluster are outside the timed region, so this measures
+// the cycle alone.
 void BM_GroupCheckpointCycle(benchmark::State& state) {
-  const int group = static_cast<int>(state.range(0));
+  ckpt::CkptConfig cc;
+  cc.group_size = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::Engine eng;
-    net::Fabric fabric(eng, {}, 32);
-    storage::StorageSystem fs(eng, storage::StorageConfig{});
-    mpi::MiniMPI mpi(eng, fabric, {});
-    ckpt::CkptConfig cc;
-    cc.group_size = group;
-    ckpt::CheckpointService svc(mpi, fs, cc);
+    state.PauseTiming();
+    auto cluster = std::make_unique<harness::SimCluster>(stack_preset(32), cc);
+    ckpt::CheckpointService& svc = cluster->checkpoints();
     svc.set_footprint_provider([](int) { return storage::mib(16); });
     svc.request_at(0, ckpt::Protocol::kGroupBased);
-    eng.run();
+    state.ResumeTiming();
+    cluster->run();
     benchmark::DoNotOptimize(svc.history().size());
+    state.PauseTiming();
+    cluster.reset();
+    state.ResumeTiming();
   }
 }
 BENCHMARK(BM_GroupCheckpointCycle)->Arg(0)->Arg(8)->Arg(1);

@@ -1,30 +1,43 @@
 #!/usr/bin/env bash
-# Builds the tree under ASan+UBSan and runs the tier-1 test suite. The sim
-# memory pools degrade to plain new/delete in this configuration
+# First builds the whole tree as RelWithDebInfo (NDEBUG on, so variables
+# read only by assert() go unused) with -Werror: any compiler warning fails
+# the check.
+#
+# Then builds the tree under ASan+UBSan and runs the tier-1 test suite. The
+# sim memory pools degrade to plain new/delete in this configuration
 # (GBC_POOLS_PASSTHROUGH), so recycling cannot mask use-after-free in the
 # message/request/suspension lifetimes the pools serve.
 #
-# A second stage rebuilds under TSan and runs the tests that actually cross
+# A last stage rebuilds under TSan and runs the tests that actually cross
 # threads: the sweep pool (label `sweep`), the staging-tier suites
 # (label `storage`, swept 8-wide by the fig8 determinism check), the
 # sharded DES (label `shard`: SPSC mailbox stress, window-barrier pool,
-# thread budget, scale-model runs), the full protocol stack under relay
-# sharding (label `fullshard`: `gbcsim run --shards 4` byte-identity plus
-# the multi-threaded SimCluster integration suite), the erasure tier
+# thread budget, scale-model runs), the full protocol stack with ranks
+# sharded across LPs (label `fullshard`: `gbcsim run --shards 4`
+# byte-identity plus the multi-threaded SimCluster integration suite), the
+# erasure tier
 # (label `erasure`: the GF(256) codec, parity-group recovery, and the fig9
 # shard-determinism run), and the federated service LPs (label `svcshard`:
 # per-group coordinator dispatch, root-LP recovery of a dead coordinator,
 # partitioned-ledger determinism and the same-shard fast-path stress —
 # DESIGN.md §15).
 #
-# Usage: scripts/sanitize_check.sh [build-dir] [tsan-build-dir]
-#   build-dir       ASan/UBSan build tree (default: build-asan)
-#   tsan-build-dir  TSan build tree       (default: build-tsan)
+# Usage: scripts/sanitize_check.sh [build-dir] [tsan-build-dir] [werror-build-dir]
+#   build-dir         ASan/UBSan build tree      (default: build-asan)
+#   tsan-build-dir    TSan build tree            (default: build-tsan)
+#   werror-build-dir  warnings-as-errors tree    (default: build-werror)
 set -euo pipefail
 
 BUILD=${1:-build-asan}
 TSAN_BUILD=${2:-build-tsan}
+WERROR_BUILD=${3:-build-werror}
 
+echo "== warnings-as-errors stage =="
+cmake -B "$WERROR_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS=-Werror
+cmake --build "$WERROR_BUILD" -j "$(nproc)"
+
+echo "== address/undefined sanitizer stage =="
 cmake -B "$BUILD" -S . -DGBC_SANITIZE=address,undefined
 cmake --build "$BUILD" -j "$(nproc)"
 

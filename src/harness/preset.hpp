@@ -14,7 +14,7 @@ struct ClusterPreset {
   /// logical process owned by shard rank*S/nranks (its matcher, send pump
   /// and NIC state run there); shard 0 additionally hosts the service LP
   /// (storage, connection manager, checkpoint coordinator). All cross-LP
-  /// interaction flows over the sim::LpBus with canonical inbox ordering,
+  /// interaction flows over the sim::LpBus with canonical settle ordering,
   /// so sharded SimCluster runs are event-for-event identical to serial
   /// ones (DESIGN.md §13). Must be in [1, nranks]. The topology knob lives
   /// in net.topology.

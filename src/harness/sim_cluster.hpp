@@ -48,10 +48,11 @@ struct SimClusterOptions {
 /// shared storage, staging tier, checkpoint coordinator — is pinned to
 /// shard 0. Every cross-LP interaction flows over the bus with latency
 /// >= Fabric::floor_hop(), the uniform conservative lookahead, and arrivals
-/// are delivered through per-LP inboxes in canonical (origin, sequence)
-/// order — so runs are event-for-event identical at any shard and thread
-/// count. Drive a cluster with run()/run_until()/abort(); running shard 0's
-/// engine directly is only correct in the single-shard case.
+/// are delivered through per-shard settle buckets in canonical (dst LP,
+/// origin, sequence) order — so runs are event-for-event identical at any
+/// shard and thread count. Drive a cluster with run()/run_until()/abort();
+/// running shard 0's engine directly is only correct in the single-shard
+/// case.
 ///
 /// Construction schedules no engine events; two clusters built from the
 /// same preset are bit-identical starting states.
@@ -108,7 +109,6 @@ class SimCluster {
 
  private:
   static sim::ShardedEngine::Options engine_options(const ClusterPreset& p);
-  static sim::Time bus_floor(const ClusterPreset& p);
   /// Wraps one rank's main: on return, reports liveness to the service LP.
   sim::Task<void> rank_main(sim::Task<void> body, int rank);
 

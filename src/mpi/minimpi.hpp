@@ -313,7 +313,7 @@ class MiniMPI {
   // --- statistics ---
   using Stats = MpiStats;
   /// Merged job-wide statistics. Aggregate read: call at quiescent points
-  /// (end of run, or from a test driving a single engine).
+  /// (end of run, or between runs while every engine is idle).
   Stats stats() const;
 
   // --- message records for consistency analysis ---

@@ -134,26 +134,23 @@ int ConnectionManager::established_count() const {
 // ---------------------------------------------------------------------------
 
 Fabric::Fabric(sim::Engine& eng, NetConfig cfg, int n_endpoints,
-               sim::LpBus* bus)
+               sim::LpBus& bus)
     : eng_(eng),
       cfg_(cfg),
       n_(n_endpoints),
+      bus_(bus),
       receivers_(n_endpoints),
       staging_(static_cast<std::size_t>(n_endpoints)),
       traffic_(static_cast<std::size_t>(n_endpoints) * n_endpoints, 0),
       msgcount_(static_cast<std::size_t>(n_endpoints) * n_endpoints, 0) {
+  assert(bus_.floor() <= floor_hop(cfg_) &&
+         "wire flights would undercut the bus floor");
   if (!cfg_.topology.flat()) tree_.emplace(cfg_.topology, n_endpoints);
-  if (bus == nullptr) {
-    own_bus_ = std::make_unique<sim::LpBus>(eng_, n_, floor_hop());
-    bus_ = own_bus_.get();
-  } else {
-    bus_ = bus;
-  }
   rank_net_.reserve(n_);
   for (int r = 0; r < n_; ++r) {
-    rank_net_.push_back(std::make_unique<RankNet>(bus_->engine_of(r)));
+    rank_net_.push_back(std::make_unique<RankNet>(bus_.engine_of(r)));
   }
-  const int shards = bus_->shards();
+  const int shards = bus_.shards();
   flight_pool_.reserve(shards);
   for (int s = 0; s < shards; ++s) {
     flight_pool_.push_back(std::make_unique<sim::Pool<FlightRec>>(256));
@@ -167,8 +164,7 @@ Fabric::~Fabric() {
   // The cluster aborts the engines and clears the bus before members are
   // destroyed, so every in-flight record has been pushed onto its return
   // stack by now. Sweep them home so the pools' liveness assert holds.
-  if (own_bus_) own_bus_->clear();
-  for (int s = 0; s < bus_->shards(); ++s) reclaim(s);
+  for (int s = 0; s < bus_.shards(); ++s) reclaim(s);
 }
 
 sim::Time Fabric::latency(int src, int dst) const {
@@ -187,7 +183,7 @@ void Fabric::enqueue(Packet p, bool data_plane) {
   const int src = p.src;
   const int dst = p.dst;
   RankNet& rn = *rank_net_[src];
-  sim::Engine& src_eng = bus_->engine_of(src);
+  sim::Engine& src_eng = bus_.engine_of(src);
   ++rn.packets;
   rn.bytes += p.bytes;
   if (data_plane) {
@@ -205,21 +201,21 @@ void Fabric::enqueue(Packet p, bool data_plane) {
   rn.nic_busy = done;
   const sim::Time arrival = done + latency(src, dst);
   ++rn.out[dst];
-  const int home = bus_->shard_of(src);
+  const int home = bus_.shard_of(src);
   FlightRec* rec = acquire_rec(home);
   rec->pkt = std::move(p);
-  rec->oseq = bus_->next_oseq(src);
+  rec->oseq = bus_.next_oseq(src);
   rec->fab = this;
   rec->home_shard = home;
-  // arrival >= now + per_message_overhead + min_latency = now + floor, so
-  // this respects the lookahead floor at any shard layout.
-  if (bus_->shard_of(dst) == home) {
+  // arrival >= now + floor_hop(cfg_) >= now + bus floor, so this respects
+  // the lookahead floor at any shard layout.
+  if (bus_.shard_of(dst) == home) {
     // Same-shard fast path: the delivery goes straight into the
     // destination's settle bucket at the arrival time — no FlightArrive
     // wrapper event, and the record never leaves its home pool's shard.
-    bus_->inbox_push_at(dst, src, rec->oseq, arrival, FlightDeliver{rec});
+    bus_.inbox_push_at(dst, src, rec->oseq, arrival, FlightDeliver{rec});
   } else {
-    bus_->post_raw(src, dst, arrival, FlightArrive{rec});
+    bus_.post_raw(src, dst, arrival, FlightArrive{rec});
   }
   // Sender-side completion: the packet leaves the in-flight lane at its
   // arrival instant (drain watches these counters). It rides the sender's
@@ -227,7 +223,7 @@ void Fabric::enqueue(Packet p, bool data_plane) {
   // only sender-owned state is touched — so the decrement lands at the same
   // canonical point (before the sorted deliveries at the arrival sweep) in
   // serial and sharded runs alike, without paying for an origin sequence.
-  bus_->settle_at(src, arrival, [this, src, dst] {
+  bus_.settle_at(src, arrival, [this, src, dst] {
     RankNet& s = *rank_net_[src];
     if (--s.out[dst] == 0) s.out_cv.notify_all();
   });
@@ -235,16 +231,16 @@ void Fabric::enqueue(Packet p, bool data_plane) {
 
 void Fabric::FlightArrive::operator()() {
   FlightRec* r = std::exchange(rec, nullptr);
-  // Runs on the destination's shard at the arrival time: enter the inbox so
-  // same-instant arrivals deliver in canonical (origin, oseq) order.
-  r->fab->bus_->inbox_push(r->pkt.dst, r->pkt.src, r->oseq, FlightDeliver{r});
+  // Runs on the destination's shard at the arrival time: enter the settle
+  // bucket so same-instant arrivals deliver in canonical order.
+  r->fab->bus_.inbox_push(r->pkt.dst, r->pkt.src, r->oseq, FlightDeliver{r});
 }
 
 void Fabric::FlightDeliver::operator()() {
   FlightRec* r = std::exchange(rec, nullptr);
   Fabric* f = r->fab;
   Packet p = std::move(r->pkt);
-  f->recycle_local(r, f->bus_->shard_of(p.dst));
+  f->recycle_local(r, f->bus_.shard_of(p.dst));
   f->deliver(std::move(p));
 }
 
@@ -286,7 +282,7 @@ sim::Task<void> Fabric::ensure_connected_from(int src, int dst) {
   while (link.mirror != ConnState::kConnected) {
     if (link.mirror == ConnState::kDisconnected && !link.requested) {
       link.requested = true;
-      bus_->send(src, bus_->svc_lp(), [this, src, dst] {
+      bus_.send(src, bus_.svc_lp(), [this, src, dst] {
         eng_.spawn(conn_mgr_->ensure_connected(src, dst));
       });
     }
@@ -313,13 +309,13 @@ std::int64_t Fabric::outbound_in_flight(int src, int dst) const {
 }
 
 void Fabric::request_lock(int ep) {
-  bus_->send(ep, bus_->svc_lp(),
-             [this, ep] { conn_mgr_->lock_endpoint(ep); });
+  bus_.send(ep, bus_.svc_lp(),
+            [this, ep] { conn_mgr_->lock_endpoint(ep); });
 }
 
 void Fabric::request_unlock(int ep) {
-  bus_->send(ep, bus_->svc_lp(),
-             [this, ep] { conn_mgr_->unlock_endpoint(ep); });
+  bus_.send(ep, bus_.svc_lp(),
+            [this, ep] { conn_mgr_->unlock_endpoint(ep); });
 }
 
 sim::Task<void> Fabric::bulk_transfer(int src, int dst, Bytes bytes) {
@@ -327,7 +323,7 @@ sim::Task<void> Fabric::bulk_transfer(int src, int dst, Bytes bytes) {
   // Runs on src's home engine: callers (replica copies, erasure scatters,
   // restore staging) are routed to the source node's LP, so the lane state
   // below is only ever touched from src's shard.
-  sim::Engine& eng = bus_->engine_of(src);
+  sim::Engine& eng = bus_.engine_of(src);
   StagingLane& lane = staging_[static_cast<std::size_t>(src)];
   ++lane.packets;
   lane.bytes += bytes;

@@ -233,42 +233,38 @@ class ConnectionManager {
 /// sender-side in-flight counters, the connection mirrors, the traffic
 /// matrix rows — is owned by the rank's home shard; transmit() must run
 /// there. Flights travel as pooled FlightRecs posted straight to the
-/// destination rank's shard, where delivery goes through the LpBus inbox so
-/// the order among same-instant arrivals is canonical at any shard count.
+/// destination rank's shard, where delivery goes through the LpBus settle
+/// bucket so the order among same-instant arrivals is canonical at any
+/// shard count.
 /// Records recycle to their home shard's pool over a lock-free return
 /// stack, keeping the hot path allocation-free in sharded runs too.
 class Fabric {
  public:
   using Deliver = std::function<void(Packet)>;
 
-  /// `bus` connects the fabric to the cluster's LP topology; when null (the
-  /// direct-construction test path) the fabric builds a single-engine bus
-  /// of its own on `eng` and every LP runs serially on it.
-  Fabric(sim::Engine& eng, NetConfig cfg, int n_endpoints,
-         sim::LpBus* bus = nullptr);
+  /// `bus` connects the fabric to the cluster's LP topology; `eng` is the
+  /// service LP's engine, where the connection manager runs. The bus floor
+  /// must not exceed floor_hop(cfg).
+  Fabric(sim::Engine& eng, NetConfig cfg, int n_endpoints, sim::LpBus& bus);
   ~Fabric();
 
   int size() const noexcept { return n_; }
   const NetConfig& config() const noexcept { return cfg_; }
   sim::Engine& engine() noexcept { return eng_; }
   ConnectionManager& connections() noexcept { return *conn_mgr_; }
-  sim::LpBus& bus() noexcept { return *bus_; }
+  sim::LpBus& bus() noexcept { return bus_; }
 
   /// End-to-end propagation delay src -> dst: wire_latency on a crossbar,
   /// wire_latency per switch hop on a fat-tree.
   sim::Time latency(int src, int dst) const;
 
-  /// Lower bound of latency() over all distinct pairs — the conservative
-  /// lookahead a sharded run of this fabric may use (sim::ShardedEngine):
-  /// no cross-endpoint interaction can take effect sooner than this.
-  sim::Time min_latency() const {
-    return cfg_.wire_latency *
-           std::max(1, cfg_.topology.min_hops());
-  }
   /// The lookahead-matrix floor every cross-LP message respects: NIC
-  /// overhead plus the minimum propagation delay.
-  sim::Time floor_hop() const {
-    return cfg_.per_message_overhead + min_latency();
+  /// overhead plus the lower bound of latency() over all distinct pairs.
+  /// No cross-endpoint interaction can take effect sooner, so this is the
+  /// LpBus floor and the conservative lookahead of a sharded run.
+  static sim::Time floor_hop(const NetConfig& cfg) {
+    return cfg.per_message_overhead +
+           cfg.wire_latency * std::max(1, cfg.topology.min_hops());
   }
 
   void set_receiver(int ep, Deliver d) { receivers_[ep] = std::move(d); }
@@ -343,7 +339,7 @@ class Fabric {
  private:
   friend class ConnectionManager;
 
-  /// One pooled wire flight: the packet plus its canonical inbox key.
+  /// One pooled wire flight: the packet plus its canonical settle key.
   struct FlightRec {
     Packet pkt;
     std::uint64_t oseq = 0;
@@ -445,8 +441,7 @@ class Fabric {
   NetConfig cfg_;
   int n_;
   std::optional<FatTree> tree_;  // engaged when topology is fat-tree
-  std::unique_ptr<sim::LpBus> own_bus_;
-  sim::LpBus* bus_;
+  sim::LpBus& bus_;
   std::vector<Deliver> receivers_;
   std::vector<std::unique_ptr<RankNet>> rank_net_;
   // Flight pools: one per shard, owned by that shard's worker; the return

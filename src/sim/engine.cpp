@@ -61,12 +61,6 @@ void Engine::schedule_at_back(Time t, InlineFn fn) {
                          acquire_slot(std::move(fn))});
 }
 
-void Engine::schedule_at_reserved(Time t, std::uint64_t seq, InlineFn fn) {
-  assert(t >= now_ && "scheduling into the past");
-  assert(seq < next_seq_ && "sequence number was never reserved");
-  queue_.push(WheelEvent{t, seq, acquire_slot(std::move(fn))});
-}
-
 void Engine::spawn(Task<void> body) {
   ++live_;
   drive(this, std::move(body));

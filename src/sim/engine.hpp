@@ -53,16 +53,6 @@ class Engine {
   /// same-instant arrival is already queued when deliveries sort.
   void schedule_at_back(Time t, InlineFn fn);
 
-  /// Consumes the next schedule sequence number without queueing anything.
-  /// Paired with schedule_at_reserved: a cross-shard relay reserves its
-  /// delivery's place in this engine's FIFO order at send time, then the
-  /// window barrier injects the delivery under that number — so the engine
-  /// executes the exact (t, seq) stream a serial run would have.
-  std::uint64_t reserve_seq() noexcept { return next_seq_++; }
-  /// Schedules fn at time t under a sequence number previously obtained from
-  /// reserve_seq(). t must be >= now().
-  void schedule_at_reserved(Time t, std::uint64_t seq, InlineFn fn);
-
   /// Starts a detached simulated process. The body runs eagerly until its
   /// first suspension. Exceptions other than SimAborted are captured and
   /// rethrown from run().

@@ -57,24 +57,20 @@ constexpr int lp_owner_shard(int lp, int nlps, int shards) {
 /// discipline), so the interleaving of *different* LPs' handlers at one
 /// (shard, t) — the only thing the layout can change — is unobservable.
 ///
-/// In single-engine mode (direct-construction tests and serial tools) every
-/// LP shares one engine and every send takes the fast path, so serial and
-/// sharded runs deliver in the same canonical order.
+/// With one shard every LP shares shard 0's engine and every send takes the
+/// fast path, so serial and sharded runs deliver in the same canonical
+/// order.
 class LpBus {
  public:
-  /// Sharded mode: rank LPs in contiguous blocks across se.shards().
+  /// Rank LPs in contiguous blocks across se.shards().
   LpBus(ShardedEngine& se, int nranks, Time floor)
-      : se_(&se), nranks_(nranks), floor_(floor) {
+      : se_(se),
+        nranks_(nranks),
+        floor_(floor),
+        shards_(static_cast<std::size_t>(se.shards())),
+        oseq_(static_cast<std::size_t>(nranks) + 1),
+        delivered_(static_cast<std::size_t>(nranks) + 1, 0) {
     assert(floor_ > 0 && "LpBus floor must be positive");
-    init(se.shards());
-  }
-
-  /// Single-engine mode: every LP lives on `eng` (direct-construction
-  /// tests and serial tools).
-  LpBus(Engine& eng, int nranks, Time floor)
-      : single_(&eng), nranks_(nranks), floor_(floor) {
-    assert(floor_ > 0 && "LpBus floor must be positive");
-    init(1);
   }
 
   LpBus(const LpBus&) = delete;
@@ -88,11 +84,10 @@ class LpBus {
   /// Minimum cross-LP message latency (the lookahead-matrix floor).
   Time floor() const noexcept { return floor_; }
 
-  int shards() const noexcept { return se_ ? se_->shards() : 1; }
+  int shards() const noexcept { return se_.shards(); }
 
   int shard_of(int lp) const {
-    if (!se_) return 0;
-    return lp >= nranks_ ? 0 : lp_owner_shard(lp, nranks_, se_->shards());
+    return lp >= nranks_ ? 0 : lp_owner_shard(lp, nranks_, se_.shards());
   }
 
   /// Lowest rank LP owned by shard `s` (the inverse of lp_owner_shard for
@@ -104,9 +99,7 @@ class LpBus {
         (static_cast<std::int64_t>(s) * nranks_ + S - 1) / S);
   }
 
-  Engine& engine_of(int lp) {
-    return single_ ? *single_ : se_->shard(shard_of(lp));
-  }
+  Engine& engine_of(int lp) { return se_.shard(shard_of(lp)); }
 
   /// Next canonical sequence number for messages originated by `origin`.
   /// Must be called on origin's shard; assignment order equals origin's
@@ -150,10 +143,10 @@ class LpBus {
   void post_raw(int src_lp, int dst_lp, Time t, InlineFn fn) {
     const int ss = shard_of(src_lp);
     const int ds = shard_of(dst_lp);
-    if (!se_ || ss == ds) {
-      engine_of(dst_lp).schedule_at(t, std::move(fn));
+    if (ss == ds) {
+      se_.shard(ds).schedule_at(t, std::move(fn));
     } else {
-      se_->post(ss, ds, t, std::move(fn));
+      se_.post(ss, ds, t, std::move(fn));
     }
   }
 
@@ -165,13 +158,13 @@ class LpBus {
     const std::uint64_t oseq = next_oseq(src_lp);
     const int ss = shard_of(src_lp);
     const int ds = shard_of(dst_lp);
-    if (!se_ || ss == ds) {
+    if (ss == ds) {
       inbox_push_at(dst_lp, src_lp, oseq, t_eff, std::move(fn));
     } else {
-      se_->post(ss, ds, t_eff,
-                [this, dst_lp, src_lp, oseq, fn = std::move(fn)]() mutable {
-                  inbox_push(dst_lp, src_lp, oseq, std::move(fn));
-                });
+      se_.post(ss, ds, t_eff,
+               [this, dst_lp, src_lp, oseq, fn = std::move(fn)]() mutable {
+                 inbox_push(dst_lp, src_lp, oseq, std::move(fn));
+               });
     }
   }
 
@@ -247,16 +240,6 @@ class LpBus {
     std::uint64_t v = 0;
   };
 
-  void init(int nshards) {
-    oseq_.resize(static_cast<std::size_t>(nranks_) + 1);
-    delivered_.assign(static_cast<std::size_t>(nranks_) + 1, 0);
-    shards_.resize(static_cast<std::size_t>(nshards));
-  }
-
-  Engine& engine_of_shard(int s) {
-    return single_ ? *single_ : se_->shard(s);
-  }
-
   /// The settle bucket for (shard, t), creating it — and scheduling the
   /// shard's back-band sweep at t — on first touch. Buckets are kept
   /// sorted by t; inserts land at/near the back in practice (arrivals are
@@ -275,7 +258,7 @@ class LpBus {
       }
       b.t = t;
       it = st.buckets.insert(it, std::move(b));
-      engine_of_shard(shard).schedule_at_back(
+      se_.shard(shard).schedule_at_back(
           t, [this, shard] { sweep(shard); });
     }
     return *it;
@@ -297,7 +280,7 @@ class LpBus {
   /// same-instant arrivals are already in.
   void sweep(int shard) {
     ShardState& st = shards_[shard];
-    Engine& eng = engine_of_shard(shard);
+    Engine& eng = se_.shard(shard);
     if (st.buckets.empty() || st.buckets.front().t != eng.now()) {
       return;  // bus cleared under a still-queued sweep (aborted run)
     }
@@ -324,8 +307,7 @@ class LpBus {
     st.pool.push_back(std::move(batch));
   }
 
-  ShardedEngine* se_ = nullptr;
-  Engine* single_ = nullptr;
+  ShardedEngine& se_;
   int nranks_;
   Time floor_;
   std::vector<ShardState> shards_;

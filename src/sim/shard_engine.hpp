@@ -70,8 +70,8 @@ struct ShardStats {
 /// Determinism does NOT depend on the thread count or the shard->thread
 /// assignment; it does depend on the shard *count* only through the model's
 /// LP discipline (a disciplined model is shard-count-invariant too; see
-/// harness/scale_model.cpp for the inbox discipline, and post_reserved for
-/// the stronger serial-replay contract the full protocol stack uses).
+/// harness/scale_model.cpp for the inbox discipline, and sim::LpBus for the
+/// settle-sweep discipline the full protocol stack uses).
 class ShardedEngine {
  public:
   /// Matrix entry for "these two shards never exchange messages".
@@ -117,16 +117,6 @@ class ShardedEngine {
   /// asserted) — use a same-shard schedule_at for anything closer, which
   /// post() degrades to when src == dst.
   void post(int src, int dst, Time t, InlineFn fn);
-
-  /// Like post(), but the delivery executes on `dst` under `seq`, a
-  /// sequence number previously obtained from shard(dst).reserve_seq() —
-  /// reserved at send time, on the sending shard, which must therefore hold
-  /// the destination engine's seq counter exclusively (the full-stack
-  /// pattern: the protocol stack lives on one shard and relays packet
-  /// flights through transit shards, so the stack shard's event stream is
-  /// bit-identical to a serial run).
-  void post_reserved(int src, int dst, Time t, std::uint64_t seq,
-                     InlineFn fn);
 
   /// Runs rounds until every shard's queue and every mailbox drain.
   /// Rethrows the first simulated-process error (lowest shard index).
@@ -183,7 +173,6 @@ class ShardedEngine {
     std::uint32_t src;
     std::uint64_t seq;
     std::uint32_t dst;
-    bool reserved;
     InlineFn fn;
   };
   std::vector<Staged> batch_;

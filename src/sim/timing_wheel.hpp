@@ -82,9 +82,9 @@ class TimingWheel {
     if (min_valid_ && ev.t < min_cache_) min_cache_ = ev.t;
     if (has_reg_) {
       // The register stays the (t, seq) minimum. The full key comparison
-      // matters for reserved-seq injections (ShardedEngine::post_reserved):
-      // unlike ordinary schedules, those can arrive with a *lower* seq than
-      // an equal-t event already parked here.
+      // matters for back-band events (Engine::schedule_at_back): an ordinary
+      // schedule at t draws a *lower* key than a back-band event at t
+      // already parked here, and must displace it.
       if (ev.t < reg_.t || (ev.t == reg_.t && ev.seq < reg_.seq)) {
         wheel_push(reg_);
         reg_ = ev;

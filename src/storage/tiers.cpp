@@ -5,14 +5,15 @@
 
 namespace gbc::storage {
 
-TieredStore::TieredStore(sim::Engine& eng, StorageSystem& pfs, TierConfig cfg,
-                         int nnodes, sim::LpBus* bus)
-    : eng_(eng), pfs_(pfs), cfg_(cfg), bus_(bus), idle_cv_(eng) {
+TieredStore::TieredStore(StorageSystem& pfs, TierConfig cfg, int nnodes,
+                         sim::LpBus& bus)
+    : pfs_(pfs), cfg_(cfg), bus_(bus) {
   // Each node's condition variable lives on the node's home engine so that
   // pause/resume wakeups stay shard-local.
   for (int i = 0; i < nnodes; ++i) nodes_.emplace_back(engine_of(i));
   if (cfg_.enabled && cfg_.erasure.enabled) {
-    erasure_ = std::make_unique<ErasureTier>(eng_, cfg_.erasure, nnodes,
+    erasure_ = std::make_unique<ErasureTier>(bus_.engine_of(bus_.svc_lp()),
+                                             cfg_.erasure, nnodes,
                                              cfg_.replica_offset);
   }
 }
@@ -24,17 +25,13 @@ void TieredStore::trace_event(int node, const char* category,
 }
 
 sim::Task<void> TieredStore::pfs_write_from(int node, Bytes bytes) {
-  if (bus_ == nullptr) {
-    co_await pfs_.write(bytes);
-    co_return;
-  }
   // The PFS is the one shared resource left in the partitioned store: every
   // write is an RPC to the service LP, so the arbitration order the
   // StorageSystem sees is the bus's canonical delivery order — identical at
   // any shard count.
   StorageSystem* pfs = &pfs_;
-  co_await bus_->call(node, bus_->svc_lp(),
-                      [pfs, bytes] { return pfs->write(bytes); });
+  co_await bus_.call(node, bus_.svc_lp(),
+                     [pfs, bytes] { return pfs->write(bytes); });
 }
 
 bool TieredStore::make_room(int node, Bytes need) {
@@ -166,10 +163,8 @@ sim::Task<void> TieredStore::drain_service(int node) {
     st.draining = 0;
     ++st.images_drained;
     trace_event(node, "drain", "end img=" + std::to_string(id));
-    if (bus_ == nullptr) idle_cv_.notify_all();
   }
   st.drain_running = false;
-  if (bus_ == nullptr) idle_cv_.notify_all();
 }
 
 void TieredStore::pause_drain(int node) { nodes_[node].paused = true; }
@@ -180,14 +175,6 @@ void TieredStore::resume_drain(int node) {
   st.cv.notify_all();
 }
 
-int TieredStore::drain_tasks_running() const {
-  int n = 0;
-  for (const auto& st : nodes_) {
-    if (st.drain_running) ++n;
-  }
-  return n;
-}
-
 int TieredStore::drain_backlog() const {
   int n = 0;
   for (const auto& st : nodes_) {
@@ -195,19 +182,6 @@ int TieredStore::drain_backlog() const {
     if (st.draining != 0) ++n;  // the image currently in flight
   }
   return n;
-}
-
-sim::Task<void> TieredStore::quiesce() {
-  // Bus-less (single-engine) callers only: sharded runs reach drain
-  // completion by running the cluster to quiescence instead.
-  for (;;) {
-    bool busy = false;
-    for (const auto& st : nodes_) {
-      if (st.drain_running || !st.drain_queue.empty()) busy = true;
-    }
-    if (!busy) co_return;
-    co_await idle_cv_.wait();
-  }
 }
 
 }  // namespace gbc::storage

@@ -213,10 +213,10 @@ harness::WorkloadFactory make_workload(const harness::FlagSet& flags,
 }
 
 // One full-stack run (base + checkpointed), printed and appended as a CSV
-// row. The command accepts --shards/--threads: the protocol stack runs on
-// shard 0 with wire flights relayed through the other shards, and every
-// reported column is byte-identical to the serial run at any shard/thread
-// count — which tests/determinism_check.cmake MODE=shards asserts.
+// row. The command accepts --shards/--threads: each rank runs on its home
+// shard and the service LP on shard 0 (DESIGN.md §13), and every reported
+// column is byte-identical to the serial run at any shard/thread count —
+// which tests/determinism_check.cmake MODE=shards asserts.
 int cmd_run(int argc, const char* const* argv) {
   harness::FlagSet flags("gbcsim run");
   add_common_flags(flags);

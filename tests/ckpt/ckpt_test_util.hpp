@@ -1,5 +1,7 @@
 #pragma once
 
+#include <utility>
+
 #include "ckpt/checkpoint.hpp"
 #include "harness/sim_cluster.hpp"
 #include "mpi/minimpi.hpp"
@@ -29,12 +31,12 @@ struct CkptWorld {
         fs(cluster.shared_fs()), mpi(cluster.mpi()),
         ckpt(cluster.checkpoints()) {}
 
+  /// Spawns every rank main through SimCluster::spawn_ranks (so the
+  /// service sees rank liveness) and runs the cluster to completion.
   template <typename F>
   void run_all(F&& per_rank) {
-    for (int r = 0; r < mpi.nranks(); ++r) {
-      eng.spawn(per_rank(mpi.rank(r)));
-    }
-    eng.run();
+    cluster.spawn_ranks(std::forward<F>(per_rank));
+    cluster.run();
   }
 
  private:

@@ -1,9 +1,8 @@
 // Full-stack runs under DES sharding: each MPI rank is a logical process on
 // its home shard (matching, send pump, NIC state), with shard 0 hosting only
 // the service LP (sim::LpBus, DESIGN.md §13). Every observable — completion
-// time,
-// per-rank state hashes, checkpoint history — must match the serial run
-// exactly, including when checkpoint groups span relay-shard boundaries,
+// time, per-rank state hashes, checkpoint history — must match the serial
+// run exactly, including when checkpoint groups span shard boundaries,
 // when rank counts don't divide evenly, and when FaultPlan replays several
 // failures mid-run.
 #include <gtest/gtest.h>
@@ -69,7 +68,7 @@ TEST(ShardFullStack, GroupsSpanningShardBoundariesMatchSerial) {
 }
 
 TEST(ShardFullStack, NonPowerOfTwoRanksAndShardsMatchSerial) {
-  // 13 ranks over 3 shards: uneven relay blocks (5/4/4 by the block map),
+  // 13 ranks over 3 shards: uneven rank blocks (5/4/4 by the block map),
   // a comm group that wraps the remainder ranks, grouped checkpoints.
   auto factory = microbench_factory(5, 60);
   ckpt::CkptConfig cc;
@@ -103,7 +102,7 @@ TEST(ShardFullStack, AllProtocolsMatchSerialUnderSharding) {
 
 TEST(ShardFullStack, FaultPlanMultiFailureReplayMatchesSerial) {
   // Two failures, recovery re-executions and all, under shards=4: the
-  // replayed attempts run through the relay router too, so the recovered
+  // replayed attempts run sharded too, so the recovered
   // run must land on the same final state as both the serial fault run and
   // the clean run.
   auto factory = microbench_factory(4, 150);

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "net_test_util.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 
@@ -14,12 +15,7 @@ using sim::Engine;
 using sim::Task;
 using sim::Time;
 
-struct World {
-  Engine eng;
-  NetConfig cfg;
-  Fabric fabric;
-  explicit World(int n, NetConfig c = {}) : cfg(c), fabric(eng, cfg, n) {}
-};
+using World = testing::NetWorld;
 
 Task<void> connect(Fabric& f, int a, int b) {
   return f.connections().ensure_connected(a, b);

@@ -36,7 +36,6 @@ TEST_P(MwSweep, RecoveryLineConsistentUnderCheckpointing) {
   ckpt::CkptConfig cc;
   cc.group_size = static_cast<int>(1 + seed % 4);
   harness::SimCluster cluster(preset, cc);
-  sim::Engine& eng = cluster.engine();
   mpi::MiniMPI& mpi = cluster.mpi();
   ckpt::CheckpointService& svc = cluster.checkpoints();
   workloads::MasterWorkerSim wl(8, mw_cfg(seed));
@@ -44,8 +43,8 @@ TEST_P(MwSweep, RecoveryLineConsistentUnderCheckpointing) {
   sim::Rng rng(seed * 65537);
   svc.request_at(sim::from_seconds(1.0 + rng.uniform(0.0, 4.0)),
                  ckpt::Protocol::kGroupBased);
-  for (int r = 0; r < 8; ++r) eng.spawn(wl.run_rank(mpi.rank(r)));
-  eng.run();
+  cluster.spawn_ranks([&](mpi::RankCtx& r) { return wl.run_rank(r); });
+  cluster.run();
 
   ASSERT_EQ(svc.history().size(), 1u);
   auto report =

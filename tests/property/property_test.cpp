@@ -160,7 +160,6 @@ TEST_P(ConsistencySweep, MessageTraceNeverCrossesALine) {
   ckpt::CkptConfig cc;
   cc.group_size = param.group_size;
   harness::SimCluster cluster(preset, cc);
-  sim::Engine& eng = cluster.engine();
   mpi::MiniMPI& mpi = cluster.mpi();
   ckpt::CheckpointService& svc = cluster.checkpoints();
   ChaosWorkload wl(8, param.seed, 220);
@@ -170,8 +169,8 @@ TEST_P(ConsistencySweep, MessageTraceNeverCrossesALine) {
                  ckpt::Protocol::kGroupBased);
   svc.request_at(sim::from_seconds(18.0 + rng.uniform(0.0, 6.0)),
                  ckpt::Protocol::kGroupBased);
-  for (int r = 0; r < 8; ++r) eng.spawn(wl.run_rank(mpi.rank(r)));
-  eng.run();
+  cluster.spawn_ranks([&](mpi::RankCtx& r) { return wl.run_rank(r); });
+  cluster.run();
 
   ASSERT_EQ(svc.history().size(), 2u);
   for (const auto& gc : svc.history()) {

@@ -37,6 +37,20 @@ TEST(Engine, SameTimeCallbacksFireInScheduleOrder) {
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
 }
 
+// A back-band event runs after every ordinary event at its timestamp, even
+// one scheduled later. The back-band event parks in the timing wheel's
+// one-event register first; the later ordinary event draws the lower
+// (t, seq) key and must displace it, which only a full-key register
+// comparison does (comparing t alone would leave the back-band event first).
+TEST(Engine, BackBandEventRunsAfterLaterOrdinaryEventAtEqualTime) {
+  Engine eng;
+  std::vector<int> order;
+  eng.schedule_at_back(10, [&] { order.push_back(2); });
+  eng.schedule_at(10, [&] { order.push_back(1); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
 TEST(Engine, ScheduleAfterUsesCurrentTime) {
   Engine eng;
   Time fired = -1;

@@ -204,27 +204,6 @@ TEST(ShardedEngine, LookaheadMatrixRoutesAsymmetricPairs) {
   EXPECT_EQ(se.lookahead(), 3);
 }
 
-// Reserved sequence numbers replay the destination's serial FIFO order: the
-// relay reserves its slot on shard 0 *before* shard 0 issues later local
-// events, so the delivery fires ahead of a same-time local event that was
-// scheduled after the reservation — exactly as a serial run would order them.
-TEST(ShardedEngine, ReservedSeqReplaysSerialOrderAtEqualTime) {
-  ShardedEngine::Options opts;
-  opts.shards = 2;
-  opts.lookahead = 5;
-  ShardedEngine se(opts);
-  std::vector<std::string> log;  // appended only by shard 0
-  se.shard(0).schedule_at(0, [&] {
-    // Serial intent: "delivery" was scheduled first, "local-later" second.
-    const std::uint64_t seq = se.shard(0).reserve_seq();
-    se.post_reserved(1, 0, 10, seq, [&] { log.push_back("delivery"); });
-    se.shard(0).schedule_at(10, [&] { log.push_back("local-later"); });
-  });
-  se.run();
-  EXPECT_EQ(log,
-            (std::vector<std::string>{"delivery", "local-later"}));
-}
-
 // run_until stops at the cap, leaves later work pending, advances every
 // shard clock to the cap, and a follow-up run() finishes the job. abort_all
 // after run_until discards in-flight cross traffic without delivering it.

@@ -15,6 +15,7 @@
 #include "sim/time.hpp"
 #include "storage/storage.hpp"
 #include "storage/tiers.hpp"
+#include "tier_test_util.hpp"
 
 namespace gbc::storage {
 namespace {
@@ -171,13 +172,13 @@ TEST(ErasureProtect, ScattersOneChunkToEachGroupMember) {
 }
 
 TEST(ErasureLedger, DecodableWhileAtLeastKChunksSurvive) {
-  Engine eng;
-  StorageSystem pfs(eng, StorageConfig{});
   TierConfig tc;
   tc.enabled = true;
   tc.drain_mbps = 0;
   tc.erasure = rs42();
-  TieredStore store(eng, pfs, tc, 16);
+  testing::TierWorld w(tc, 16);
+  Engine& eng = w.eng;
+  TieredStore& store = w.tier;
   ASSERT_NE(store.erasure(), nullptr);
   std::uint64_t id = 0;
   eng.spawn([](TieredStore& t, std::uint64_t& out) -> Task<void> {
@@ -208,12 +209,12 @@ TEST(ErasureLedger, DecodableWhileAtLeastKChunksSurvive) {
 }
 
 TEST(ErasureLedger, DisabledErasureLeavesImagesUnprotected) {
-  Engine eng;
-  StorageSystem pfs(eng, StorageConfig{});
   TierConfig tc;
   tc.enabled = true;
   tc.drain_mbps = 0;
-  TieredStore store(eng, pfs, tc, 16);
+  testing::TierWorld w(tc, 16);
+  Engine& eng = w.eng;
+  TieredStore& store = w.tier;
   EXPECT_EQ(store.erasure(), nullptr);
   std::uint64_t id = 0;
   eng.spawn([](TieredStore& t, std::uint64_t& out) -> Task<void> {

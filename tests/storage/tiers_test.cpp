@@ -8,6 +8,7 @@
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "storage/storage.hpp"
+#include "tier_test_util.hpp"
 
 namespace gbc::storage {
 namespace {
@@ -26,13 +27,7 @@ TierConfig tier_config() {
   return tc;
 }
 
-struct Fixture {
-  Engine eng;
-  StorageSystem pfs;
-  TieredStore tier;
-  Fixture(TierConfig tc, int nnodes)
-      : pfs(eng, StorageConfig{}), tier(eng, pfs, tc, nnodes) {}
-};
+using Fixture = testing::TierWorld;
 
 /// Runs `tier.snapshot(node, bytes)` to completion and returns (id, seconds).
 std::pair<std::uint64_t, double> timed_snapshot(Fixture& f, int node,
@@ -100,17 +95,12 @@ TEST(TieredStore, DrainPacedByDrainRateWhenPfsIsFaster) {
   auto tc = tier_config();
   tc.drain_mbps = 16.0;  // well under the 108 MB/s single-client PFS share
   Fixture f(tc, 2);
-  auto [id, write_secs] = timed_snapshot(f, 0, mib(64));
-  (void)write_secs;
-  Time drained_at = -1;
-  f.eng.spawn([](TieredStore& t, Engine& e, Time& at) -> Task<void> {
-    co_await t.quiesce();
-    at = e.now();
-  }(f.tier, f.eng, drained_at));
-  f.eng.run();
+  // timed_snapshot runs to quiescence, so the background drain is done.
+  const std::uint64_t id = timed_snapshot(f, 0, mib(64)).first;
   ASSERT_EQ(f.tier.images_drained(), 1);
   // 64 MiB at 16 MB/s = 4 s of draining after the 0.16 s local write.
-  EXPECT_NEAR(sim::to_seconds(drained_at), 0.16 + 4.0, 0.05);
+  EXPECT_NEAR(sim::to_seconds(f.tier.find(id)->drained_at), 0.16 + 4.0,
+              0.05);
   EXPECT_TRUE(TieredStore::pfs_durable(*f.tier.find(id)));
 }
 
@@ -118,16 +108,11 @@ TEST(TieredStore, DrainLimitedByPfsFairShareWhenRateIsHigher) {
   auto tc = tier_config();
   tc.drain_mbps = 10000.0;  // ask for more than the PFS can give
   Fixture f(tc, 2);
-  timed_snapshot(f, 0, mib(108));
-  Time drained_at = -1;
-  f.eng.spawn([](TieredStore& t, Engine& e, Time& at) -> Task<void> {
-    co_await t.quiesce();
-    at = e.now();
-  }(f.tier, f.eng, drained_at));
-  f.eng.run();
+  const std::uint64_t id = timed_snapshot(f, 0, mib(108)).first;
   // 108 MiB through the PFS at the 108 MB/s single-client cap: ~1 s after
   // the local write, no faster no matter what drain rate was requested.
-  EXPECT_NEAR(sim::to_seconds(drained_at), 0.27 + 1.0, 0.05);
+  EXPECT_NEAR(sim::to_seconds(f.tier.find(id)->drained_at), 0.27 + 1.0,
+              0.05);
 }
 
 TEST(TieredStore, CapacityEvictsOnlyDrainedImages) {
@@ -135,11 +120,9 @@ TEST(TieredStore, CapacityEvictsOnlyDrainedImages) {
   tc.local_capacity_mib = 100.0;
   tc.drain_mbps = 50.0;
   Fixture f(tc, 2);
+  // The run to quiescence lets the first image finish draining (64 MiB /
+  // 50 MBps = 1.28 s).
   auto [id1, s1] = timed_snapshot(f, 0, mib(64));
-  // Let the first image finish draining (64 MiB / 50 MBps = 1.28 s).
-  f.eng.spawn([](TieredStore& t) -> Task<void> { co_await t.quiesce(); }(
-      f.tier));
-  f.eng.run();
   ASSERT_TRUE(TieredStore::pfs_durable(*f.tier.find(id1)));
   // The second image needs the space: the drained one is evicted.
   auto [id2, s2] = timed_snapshot(f, 0, mib(64));
@@ -201,37 +184,36 @@ TEST(TieredStore, PauseStallsDrainUntilResume) {
   tc.drain_chunk_mib = 64.0;  // single chunk: pause acts at the start
   Fixture f(tc, 2);
   f.tier.pause_drain(0);
-  timed_snapshot(f, 0, mib(64));
+  const std::uint64_t id = timed_snapshot(f, 0, mib(64)).first;
   EXPECT_EQ(f.tier.images_drained(), 0);
   EXPECT_EQ(f.tier.drain_backlog(), 1);
-  Time drained_at = -1;
-  f.eng.spawn([](TieredStore& t, Engine& e, Time& at) -> Task<void> {
+  f.eng.spawn([](TieredStore& t, Engine& e) -> Task<void> {
     co_await e.delay(10 * sim::kSecond);
     t.resume_drain(0);
-    co_await t.quiesce();
-    at = e.now();
-  }(f.tier, f.eng, drained_at));
+  }(f.tier, f.eng));
   f.eng.run();
   EXPECT_EQ(f.tier.images_drained(), 1);
   // Resume fires 10 s after the 0.16 s local write; drain then takes 1 s.
-  EXPECT_NEAR(sim::to_seconds(drained_at), 11.16, 0.05);
+  EXPECT_NEAR(sim::to_seconds(f.tier.find(id)->drained_at), 11.16, 0.05);
 }
 
 TEST(TieredStore, QuiesceDrainsAllNodes) {
   auto tc = tier_config();
   tc.drain_mbps = 50.0;
   Fixture f(tc, 4);
-  for (int n = 0; n < 4; ++n) timed_snapshot(f, n, mib(32));
-  bool done = false;
-  f.eng.spawn([](TieredStore& t, bool& d) -> Task<void> {
-    co_await t.quiesce();
-    d = true;
-  }(f.tier, done));
-  f.eng.run();
-  EXPECT_TRUE(done);
+  std::vector<std::uint64_t> ids(4, 0);
+  for (int n = 0; n < 4; ++n) {
+    f.eng.spawn([](TieredStore& t, int node, std::uint64_t& out)
+                    -> Task<void> { out = co_await t.snapshot(node, mib(32)); }(
+        f.tier, n, ids[n]));
+  }
+  // Running to quiescence leaves no drain behind on any node.
+  f.se.run();
   EXPECT_EQ(f.tier.images_drained(), 4);
   EXPECT_EQ(f.tier.drain_backlog(), 0);
-  EXPECT_EQ(f.tier.drain_tasks_running(), 0);
+  for (int n = 0; n < 4; ++n) {
+    EXPECT_TRUE(TieredStore::pfs_durable(*f.tier.find(ids[n]))) << n;
+  }
 }
 
 }  // namespace
