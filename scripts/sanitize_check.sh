@@ -3,6 +3,11 @@
 # read only by assert() go unused) with -Werror: any compiler warning fails
 # the check.
 #
+# Then builds a Debug tree (asserts on) and runs the full tier-1 suite: the
+# optimised builds compile every assert() out, so a test that trips an
+# engine invariant (say, a cross-shard post inside the lookahead horizon)
+# only fails here.
+#
 # Then builds the tree under ASan+UBSan and runs the tier-1 test suite. The
 # sim memory pools degrade to plain new/delete in this configuration
 # (GBC_POOLS_PASSTHROUGH), so recycling cannot mask use-after-free in the
@@ -22,20 +27,27 @@
 # partitioned-ledger determinism and the same-shard fast-path stress —
 # DESIGN.md §15).
 #
-# Usage: scripts/sanitize_check.sh [build-dir] [tsan-build-dir] [werror-build-dir]
+# Usage: scripts/sanitize_check.sh [build-dir] [tsan-build-dir] [werror-build-dir] [debug-build-dir]
 #   build-dir         ASan/UBSan build tree      (default: build-asan)
 #   tsan-build-dir    TSan build tree            (default: build-tsan)
 #   werror-build-dir  warnings-as-errors tree    (default: build-werror)
+#   debug-build-dir   asserts-on Debug tree      (default: build-debug)
 set -euo pipefail
 
 BUILD=${1:-build-asan}
 TSAN_BUILD=${2:-build-tsan}
 WERROR_BUILD=${3:-build-werror}
+DEBUG_BUILD=${4:-build-debug}
 
 echo "== warnings-as-errors stage =="
 cmake -B "$WERROR_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$WERROR_BUILD" -j "$(nproc)"
+
+echo "== debug (asserts on) stage =="
+cmake -B "$DEBUG_BUILD" -S . -DCMAKE_BUILD_TYPE=Debug
+cmake --build "$DEBUG_BUILD" -j "$(nproc)"
+ctest --test-dir "$DEBUG_BUILD" --output-on-failure -j "$(nproc)"
 
 echo "== address/undefined sanitizer stage =="
 cmake -B "$BUILD" -S . -DGBC_SANITIZE=address,undefined

@@ -91,9 +91,13 @@ void CheckpointService::DeferralGate::notify() {
 // ---------------------------------------------------------------------------
 
 CheckpointService::CheckpointService(mpi::MiniMPI& mpi,
-                                     storage::StorageSystem& fs,
+                                     storage::TieredStore& store,
                                      CkptConfig cfg)
-    : eng_(mpi.engine()), mpi_(mpi), fs_(fs), cfg_(cfg), cycle_done_(eng_) {
+    : eng_(mpi.engine()),
+      mpi_(mpi),
+      store_(store),
+      cfg_(cfg),
+      cycle_done_(eng_) {
   gate_ = std::make_unique<DeferralGate>(*this);
   done_.assign(mpi_.nranks(), 0);
   last_snapshot_at_.assign(mpi_.nranks(), -1);
@@ -211,34 +215,14 @@ sim::Task<void> CheckpointService::write_snapshot(int rank,
   snap.taken_at = eng.now();
   last_snapshot_at_[rank] = eng.now();
   const sim::Time t0 = eng.now();
-  if (tier_ && tier_->enabled() && cfg_.use_tier) {
-    // Multi-level staging: the frozen rank writes to its node-local tier
-    // (plus the partner replica when enabled); the drain to the PFS runs on
-    // in the background after the rank thaws.
-    const bool pause = cfg_.pause_drain_during_snapshot;
-    if (pause) tier_->pause_drain(rank);
-    snap.image_id = co_await tier_->snapshot(rank, snap.image_bytes);
-    if (pause) tier_->resume_drain(rank);
-    const auto* img = tier_->find(snap.image_id);
-    if (img && img->local) {
-      // Erasure wins the label: the stripe survives strictly more failure
-      // patterns than the single partner copy.
-      snap.placement = img->ec.encoded_at >= 0 ? ImagePlacement::kLocalErasure
-                       : img->partner >= 0     ? ImagePlacement::kLocalReplicated
-                                               : ImagePlacement::kLocal;
-      snap.replica_node = img->partner;
-    } else {
-      snap.placement = ImagePlacement::kPfs;  // capacity write-through
-    }
-  } else {
-    // No staging tier: the image goes straight to the shared PFS, which is
-    // root-owned — route the write there so PFS arbitration stays on one LP.
-    sim::LpBus& bus = mpi_.fabric().bus();
-    storage::StorageSystem* fs = &fs_;
-    const Bytes bytes = snap.image_bytes;
-    co_await bus.call(rank, bus.svc_lp(),
-                      [fs, bytes] { return fs->write(bytes); });
-  }
+  // With the tier enabled the frozen rank writes to its node-local tier
+  // (plus any replica/erasure protection) and the drain to the PFS runs on
+  // after it thaws; without one the store writes straight to the PFS.
+  const bool pause = cfg_.pause_drain_during_snapshot;
+  if (pause) store_.pause_drain(rank);
+  snap.image_id =
+      co_await store_.snapshot(rank, snap.image_bytes, cfg_.incremental);
+  if (pause) store_.resume_drain(rank);
   snap.storage_time = eng.now() - t0;
 }
 
@@ -257,7 +241,9 @@ sim::Engine& CycleContext::engine() noexcept {
                       : svc_.mpi_.fabric().bus().engine_of(self_lp_);
 }
 mpi::MiniMPI& CycleContext::mpi() noexcept { return svc_.mpi_; }
-storage::StorageSystem& CycleContext::shared_fs() noexcept { return svc_.fs_; }
+storage::StorageSystem& CycleContext::shared_fs() noexcept {
+  return svc_.store_.pfs();
+}
 const CkptConfig& CycleContext::config() const noexcept { return svc_.cfg_; }
 int CycleContext::nranks() const noexcept { return svc_.mpi_.nranks(); }
 

@@ -69,22 +69,13 @@ struct CkptConfig {
   double dirty_floor = 0.15;            ///< fraction dirtied immediately
   double dirty_rate_per_second = 0.02;  ///< extra fraction per second
 
-  // --- Multi-level staging (storage::TieredStore; DESIGN.md §10). When a
-  // tier is attached and use_tier is set, snapshots land on the node-local
-  // tier (and optionally a partner replica) instead of the shared PFS; the
-  // background drain makes them PFS-durable later.
-  bool use_tier = true;
+  // --- Multi-level staging (storage::TieredStore; DESIGN.md §10). With
+  // the tier enabled, snapshots land on the node-local tier (and optionally
+  // a partner replica) instead of the shared PFS; the background drain makes
+  // them PFS-durable later.
   /// Pause the node's background drain while its foreground snapshot writes
   /// to the local disk (the two compete for the same device).
   bool pause_drain_during_snapshot = true;
-};
-
-/// Where a rank's snapshot image lived when its checkpoint completed.
-enum class ImagePlacement : std::uint8_t {
-  kPfs,              ///< written straight to the shared PFS (no tier)
-  kLocal,            ///< node-local tier only (lost with the node)
-  kLocalReplicated,  ///< node-local tier + partner replica
-  kLocalErasure,     ///< node-local tier + erasure stripe across parity group
 };
 
 /// One rank's snapshot (what BLCR would write).
@@ -96,11 +87,7 @@ struct RankSnapshot {
   sim::Time freeze_begin = -1;
   sim::Time resume_at = -1;         ///< thawed (downtime = resume - freeze)
   sim::Time storage_time = 0;       ///< portion spent writing the image
-
-  // --- staging (set only when a TieredStore handled the write) ---
-  std::uint64_t image_id = 0;  ///< TieredStore ledger id (0 = direct PFS)
-  ImagePlacement placement = ImagePlacement::kPfs;
-  int replica_node = -1;  ///< partner holding the replica, -1 if none
+  std::uint64_t image_id = 0;  ///< storage::ImageCatalog id of the image
 };
 
 /// Result of one global checkpoint cycle.
@@ -133,7 +120,9 @@ struct GlobalCheckpoint {
 /// CycleContext scoped to the cycle.
 class CheckpointService {
  public:
-  CheckpointService(mpi::MiniMPI& mpi, storage::StorageSystem& fs,
+  /// Every image write goes through `store`: to its node-local tier when
+  /// the tier is enabled, straight to its shared PFS otherwise.
+  CheckpointService(mpi::MiniMPI& mpi, storage::TieredStore& store,
                     CkptConfig cfg = {});
   ~CheckpointService();
 
@@ -170,11 +159,6 @@ class CheckpointService {
   /// Optional structured trace of protocol events (cycle/group/freeze/
   /// snapshot/resume), for debugging and schedule visualisation.
   void set_trace(sim::Trace* trace) { trace_ = trace; }
-
-  /// Attaches a node-local staging tier: snapshot writes go to it instead
-  /// of the shared PFS (when cfg_.use_tier; see DESIGN.md §10).
-  void set_tier(storage::TieredStore* tier) { tier_ = tier; }
-  storage::TieredStore* tier() const noexcept { return tier_; }
 
   /// Rank-process liveness, reported by the harness (SimCluster::
   /// spawn_ranks): rank mains run on other shards' engines, so the service
@@ -226,8 +210,8 @@ class CheckpointService {
   /// server for its node) from the anchor LP `self_lp` (-1 = service LP).
   sim::Task<void> snapshot_rank(int rank, GlobalCheckpoint& gc, int self_lp);
   /// The write itself: runs on `rank`'s home engine — footprint/capture
-  /// callbacks read rank-owned workload slots, the tier write lands in the
-  /// node's partition, and only the shared-PFS legs leave the shard.
+  /// callbacks read rank-owned workload slots, the catalog entry lands in
+  /// the node's partition, and only the shared-PFS legs leave the shard.
   sim::Task<void> write_snapshot(int rank, GlobalCheckpoint& gc);
   Bytes footprint(int rank) const {
     return footprint_ ? footprint_(rank) : storage::mib(64);
@@ -238,8 +222,7 @@ class CheckpointService {
 
   sim::Engine& eng_;
   mpi::MiniMPI& mpi_;
-  storage::StorageSystem& fs_;
-  storage::TieredStore* tier_ = nullptr;
+  storage::TieredStore& store_;
   CkptConfig cfg_;
   std::function<Bytes(int)> footprint_;
   std::function<std::vector<std::uint64_t>(int)> capture_;

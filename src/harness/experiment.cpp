@@ -56,12 +56,11 @@ RunResult run_experiment(const ClusterPreset& preset,
     res.final_iterations.push_back(wl->state(r).iteration);
     res.final_hashes.push_back(wl->state(r).hash);
   }
-  if (auto* tier = cluster.tier()) {
-    res.tier_images_drained = tier->images_drained();
-    res.tier_write_throughs = tier->write_throughs();
-    res.tier_replicas = tier->replicas_made();
-    res.tier_images_encoded = tier->images_encoded();
-  }
+  const storage::TieredStore& tier = *cluster.tier();
+  res.tier_images_drained = tier.images_drained();
+  res.tier_write_throughs = tier.write_throughs();
+  res.tier_replicas = tier.replicas_made();
+  res.tier_images_encoded = tier.images_encoded();
   res.events_processed = cluster.sharded().total_events();
   return res;
 }

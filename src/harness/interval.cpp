@@ -40,7 +40,8 @@ MtbfRunResult run_with_poisson_failures(const ClusterPreset& preset,
   MtbfRunResult out;
   sim::Rng rng(failures.seed);
 
-  // State carried across attempts.
+  // State carried across attempts: each rank's resume point and the bytes
+  // its restart reads (the catalog's restore volume, chain included).
   std::vector<workloads::WorkloadState> resume(preset.nranks);
   std::vector<storage::Bytes> images(preset.nranks, 0);
 
@@ -104,6 +105,7 @@ MtbfRunResult run_with_poisson_failures(const ClusterPreset& preset,
     }
     std::uint64_t common = resume[0].iteration;
     if (last) {
+      const storage::ImageCatalog& catalog = cluster.tier()->catalog();
       common = UINT64_MAX;
       for (int r = 0; r < preset.nranks; ++r) {
         common = std::min(common, workloads::Workload::committed_iterations(
@@ -112,7 +114,7 @@ MtbfRunResult run_with_poisson_failures(const ClusterPreset& preset,
       for (int r = 0; r < preset.nranks; ++r) {
         resume[r] = workloads::Workload::state_for_iteration(
             last->snapshots[r].app_state, common);
-        images[r] = last->snapshots[r].image_bytes;
+        images[r] = catalog.restore_bytes(last->snapshots[r].image_id);
       }
     }
     // else: no checkpoint completed during this attempt — the previous

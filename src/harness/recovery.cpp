@@ -3,105 +3,16 @@
 #include <algorithm>
 #include <optional>
 
-#include "ckpt/store.hpp"
 #include "harness/sim_cluster.hpp"
 #include "sim/join.hpp"
-#include "storage/erasure.hpp"
 #include "storage/tiers.hpp"
 
 namespace gbc::harness {
 
 namespace {
 
-using storage::TieredStore;
-using storage::TierLedger;
-
-/// Where one rank's image is read from during restart.
-struct RestoreSource {
-  enum Kind : std::uint8_t {
-    kNone,     ///< nothing to read (fresh start of the original attempt)
-    kLocal,    ///< surviving node-local tier copy
-    kReplica,  ///< partner's replica: partner disk read + fabric transfer
-    kErasure,  ///< degraded read: fetch k chunks, invert, reconstruct
-    kPfs,      ///< shared parallel file system (contended)
-  };
-  Kind kind = Kind::kPfs;
-  storage::Bytes bytes = 0;
-  int from_node = -1;  ///< replica source node (kReplica only)
-
-  // --- kErasure only ---
-  std::vector<int> from_nodes;    ///< the k chunk holders to fetch from
-  storage::Bytes chunk_bytes = 0;
-  int data_erasures = 0;  ///< data chunks lost (0 = systematic pass-through)
-
-  RestoreSource() = default;
-  RestoreSource(Kind kind_, storage::Bytes bytes_, int from)
-      : kind(kind_), bytes(bytes_), from_node(from) {}
-};
-
-/// Builds the degraded-read plan for an erasure-coded image: pick k
-/// surviving chunks (data chunks first — every parity chunk drafted in is
-/// one more row of the inverted system and one more reconstruction pass).
-/// nullopt when fewer than k chunks survive the dead set.
-std::optional<RestoreSource> erasure_source(
-    const TieredStore::ImageInfo& img, const std::vector<char>& failed) {
-  const storage::ErasureChunks& ec = img.ec;
-  if (!ec.active()) return std::nullopt;
-  std::vector<int> data, parity;
-  for (std::size_t c = 0; c < ec.nodes.size(); ++c) {
-    if (ec.done_at[c] < 0 || TieredStore::node_failed(ec.nodes[c], failed)) {
-      continue;
-    }
-    (static_cast<int>(c) < ec.k ? data : parity).push_back(static_cast<int>(c));
-  }
-  if (static_cast<int>(data.size() + parity.size()) < ec.k) {
-    return std::nullopt;
-  }
-  RestoreSource src;
-  src.kind = RestoreSource::kErasure;
-  src.bytes = img.bytes;
-  src.chunk_bytes = ec.chunk_bytes;
-  for (int c : data) {
-    if (static_cast<int>(src.from_nodes.size()) < ec.k) {
-      src.from_nodes.push_back(ec.nodes[static_cast<std::size_t>(c)]);
-    }
-  }
-  src.data_erasures = ec.k - static_cast<int>(src.from_nodes.size());
-  for (int c : parity) {
-    if (static_cast<int>(src.from_nodes.size()) < ec.k) {
-      src.from_nodes.push_back(ec.nodes[static_cast<std::size_t>(c)]);
-    }
-  }
-  return src;
-}
-
-/// Restore source for one rank of checkpoint `gc` given the set of nodes
-/// that have died so far. Returns nullopt if the image is gone.
-std::optional<RestoreSource> source_for_rank(const TierLedger& ledger,
-                                             const ckpt::GlobalCheckpoint& gc,
-                                             int rank,
-                                             const std::vector<char>& failed) {
-  const auto& snap = gc.snapshots[rank];
-  const TieredStore::ImageInfo* img = ledger.find(snap.image_id);
-  if (!img) {
-    // Direct PFS write (no tier involved): always durable.
-    return RestoreSource{RestoreSource::kPfs, snap.image_bytes, -1};
-  }
-  const bool node_lost = failed[rank];
-  if (!node_lost && TieredStore::local_available(*img)) {
-    return RestoreSource{RestoreSource::kLocal, img->bytes, -1};
-  }
-  if (TieredStore::replica_available(*img, failed)) {
-    return RestoreSource{RestoreSource::kReplica, img->bytes, img->partner};
-  }
-  // Erasure decode beats the PFS in the tier walk: k chunk fetches over the
-  // fabric plus the decode compute still undercut a contended PFS read.
-  if (auto ec = erasure_source(*img, failed)) return ec;
-  if (TieredStore::pfs_durable(*img)) {
-    return RestoreSource{RestoreSource::kPfs, img->bytes, -1};
-  }
-  return std::nullopt;
-}
+using storage::ImageCatalog;
+using storage::RestoreSource;
 
 /// Rolls every rank of `gc` back to the common committed iteration.
 std::uint64_t common_rollback(const ClusterPreset& preset,
@@ -146,47 +57,24 @@ void count_source(const RestoreSource& src, Selection* sel) {
 /// checkpoints newest-first until one is restorable for every rank; with no
 /// usable checkpoint the job restarts cold (empty images, fresh state).
 Selection select_full_restart(
-    const ClusterPreset& preset, const ckpt::CkptConfig& ckpt_cfg,
+    const ClusterPreset& preset,
     const std::vector<ckpt::GlobalCheckpoint>& completed,
-    const TierLedger& ledger, const std::vector<char>& failed) {
+    const ImageCatalog& catalog, const std::vector<char>& failed) {
   Selection sel;
   sel.resume.assign(preset.nranks, {});
-  sel.plan.assign(preset.nranks, RestoreSource{RestoreSource::kPfs, 0, -1});
-  if (completed.empty()) return sel;
-
-  // The store models the checkpoint directory on the PFS: under incremental
-  // checkpointing a restore has to read the whole chain back to the last
-  // full image, not just the newest increment.
-  ckpt::CheckpointStore store(/*retention=*/2);
-  for (std::size_t i = 0; i < completed.size(); ++i) {
-    store.commit(completed[i], ckpt_cfg.incremental && i > 0);
-  }
-  if (!preset.tier.enabled) {
-    // Single-tier model: every image is on the PFS, the latest completed
-    // checkpoint is always recoverable.
-    const auto* set = store.latest();
-    const ckpt::GlobalCheckpoint& gc = completed.back();
-    sel.used_checkpoint = true;
-    sel.rollback_iteration = common_rollback(preset, gc, &sel.resume);
-    for (int r = 0; r < preset.nranks; ++r) {
-      sel.plan[r].bytes = set ? store.restore_bytes(*set, r)
-                              : gc.snapshots[r].image_bytes;
-      ++sel.restored_pfs;
-    }
-    return sel;
-  }
-  // Tiered model: the dead nodes' local images died with them. Walk
-  // checkpoints newest-first until one is restorable for every rank.
+  sel.plan.assign(preset.nranks, RestoreSource{RestoreSource::kPfs, 0});
+  // The dead nodes' local images died with them: walk checkpoints
+  // newest-first until one is restorable for every rank.
   for (int i = static_cast<int>(completed.size()) - 1; i >= 0; --i) {
     const ckpt::GlobalCheckpoint& gc = completed[i];
     std::vector<RestoreSource> candidate(preset.nranks);
     bool ok = true;
     for (int r = 0; r < preset.nranks && ok; ++r) {
-      auto src = source_for_rank(ledger, gc, r, failed);
+      auto src = catalog.restore_source(gc.snapshots[r].image_id, failed);
       if (!src) {
         ok = false;
       } else {
-        candidate[r] = *src;
+        candidate[r] = std::move(*src);
       }
     }
     if (!ok) {
@@ -208,28 +96,23 @@ Selection select_full_restart(
 /// does — the caller then degrades to the full restart.
 Selection select_job_pause(const ClusterPreset& preset,
                            const std::vector<ckpt::GlobalCheckpoint>& completed,
-                           const TierLedger& ledger,
+                           const ImageCatalog& catalog,
                            const std::vector<char>& failed, int failed_rank) {
   Selection sel;
   sel.resume.assign(preset.nranks, {});
-  sel.plan.assign(preset.nranks, RestoreSource{RestoreSource::kPfs, 0, -1});
+  sel.plan.assign(preset.nranks, RestoreSource{RestoreSource::kPfs, 0});
   for (int i = static_cast<int>(completed.size()) - 1; i >= 0; --i) {
     const ckpt::GlobalCheckpoint& gc = completed[i];
-    std::optional<RestoreSource> src;
-    if (!preset.tier.enabled) {
-      src = RestoreSource{RestoreSource::kPfs,
-                          gc.snapshots[failed_rank].image_bytes, -1};
-    } else {
-      src = source_for_rank(ledger, gc, failed_rank, failed);
-    }
+    auto src =
+        catalog.restore_source(gc.snapshots[failed_rank].image_id, failed);
     if (!src) {
       ++sel.checkpoints_skipped;
       continue;
     }
     sel.used_checkpoint = true;
     sel.rollback_iteration = common_rollback(preset, gc, &sel.resume);
-    sel.plan[failed_rank] = *src;
     count_source(*src, &sel);
+    sel.plan[failed_rank] = std::move(*src);
     break;
   }
   return sel;
@@ -315,7 +198,7 @@ sim::Task<void> restart_rank(RestartCtx* ctx, mpi::RankCtx* rank,
 /// What the replay loop learns from one attempt.
 struct AttemptResult {
   std::vector<ckpt::GlobalCheckpoint> completed;  ///< up to the cutoff
-  TierLedger ledger;               ///< tier state at the cutoff
+  ImageCatalog catalog;            ///< image catalog at the cutoff
   double read_seconds = 0;         ///< slowest rank's image reload
   sim::Time done = 0;              ///< completion time (uncut attempts)
   std::vector<std::uint64_t> final_iterations;
@@ -360,7 +243,8 @@ AttemptResult run_attempt(const ClusterPreset& preset,
       out.completed.push_back(gc);
     }
   }
-  if (auto* tier = cluster.tier()) out.ledger = tier->ledger();
+  // Only the original attempt writes images; restarts take no checkpoints.
+  if (!requests.empty()) out.catalog = cluster.tier()->catalog();
   out.read_seconds = *std::max_element(read_at.begin(), read_at.end());
   out.done = *std::max_element(done_at.begin(), done_at.end());
   for (int r = 0; r < preset.nranks; ++r) {
@@ -387,11 +271,11 @@ RecoveryResult run_with_faults(const ClusterPreset& preset,
   // Attempt 0 starts fresh: nothing to reload, default workload state, and
   // it is the only attempt that takes checkpoints.
   std::vector<RestoreSource> restore(
-      preset.nranks, RestoreSource{RestoreSource::kNone, 0, -1});
+      preset.nranks, RestoreSource{RestoreSource::kNone, 0});
   std::vector<workloads::WorkloadState> resume(preset.nranks);
   // The original run's recovery inputs, reused by every later fault.
   std::vector<ckpt::GlobalCheckpoint> completed;
-  TierLedger ledger;
+  ImageCatalog catalog;
   double elapsed_seconds = 0;
 
   for (std::size_t k = 0;; ++k) {
@@ -415,7 +299,7 @@ RecoveryResult run_with_faults(const ClusterPreset& preset,
 
     if (first) {
       completed = std::move(attempt.completed);
-      ledger = std::move(attempt.ledger);
+      catalog = std::move(attempt.catalog);
     }
     elapsed_seconds += sim::to_seconds(fault->at);
     failed[fault->rank] = 1;
@@ -425,15 +309,15 @@ RecoveryResult run_with_faults(const ClusterPreset& preset,
 
     Selection sel;
     if (plan.style == RecoveryStyle::kJobPause) {
-      sel = select_job_pause(preset, completed, ledger, failed, fault->rank);
+      sel = select_job_pause(preset, completed, catalog, failed, fault->rank);
       if (!sel.used_checkpoint) {
         // Nothing to pause around (no checkpoint whose failed-rank image
         // survives): degrade to the full restart, dropping the pause
         // bookkeeping — exactly the classic fallback.
-        sel = select_full_restart(preset, ckpt_cfg, completed, ledger, failed);
+        sel = select_full_restart(preset, completed, catalog, failed);
       }
     } else {
-      sel = select_full_restart(preset, ckpt_cfg, completed, ledger, failed);
+      sel = select_full_restart(preset, completed, catalog, failed);
     }
     restore = std::move(sel.plan);
     resume = std::move(sel.resume);

@@ -87,8 +87,10 @@ RecoveryResult run_with_faults(const ClusterPreset& preset,
 /// costs: every rank reads its image back from wherever it durably lives,
 /// then rebuilds connections lazily.
 ///
-/// Without a staging tier every image is on the shared PFS and the latest
-/// completed checkpoint is always recoverable. With `preset.tier` enabled
+/// Every restore reads what the image catalog says it costs: an incremental
+/// image reads its whole chain back to the last full image. Without a
+/// staging tier every image is on the shared PFS and the latest completed
+/// checkpoint is always recoverable. With `preset.tier` enabled
 /// the crash also destroys `failed_rank`'s node-local storage, so a
 /// checkpoint is recoverable only if the failed rank's image reached the
 /// partner replica or the PFS drain finished; otherwise recovery falls back

@@ -27,6 +27,21 @@ sim::ShardedEngine::Options SimCluster::engine_options(
   return o;
 }
 
+storage::TierConfig SimCluster::tier_config(const ClusterPreset& p,
+                                            const ckpt::CkptConfig& ckpt_cfg,
+                                            const SimClusterOptions& opts) {
+  storage::TierConfig t = p.tier;
+  t.enabled = p.tier.enabled && opts.attach_tier;
+  if (t.enabled && ckpt_cfg.incremental) {
+    // Local, replica and erasure copies hold only the increment, and
+    // eviction can drop a chain's ancestors: a tier models full images.
+    throw std::invalid_argument(
+        "SimCluster: incremental snapshots cannot be combined with the "
+        "staging tier (the tier models full-image snapshots)");
+  }
+  return t;
+}
+
 SimCluster::SimCluster(const ClusterPreset& preset,
                        const ckpt::CkptConfig& ckpt_cfg,
                        const SimClusterOptions& opts)
@@ -34,19 +49,15 @@ SimCluster::SimCluster(const ClusterPreset& preset,
       sharded_(engine_options(preset)),
       eng_(sharded_.shard(0)),
       bus_(sharded_, preset_.nranks, net::Fabric::floor_hop(preset.net)),
-      fabric_(eng_, preset_.net, preset_.nranks, bus_),
+      fabric_(preset_.net, bus_),
       fs_(eng_, preset_.storage),
+      tier_(fs_, tier_config(preset, ckpt_cfg, opts), preset_.nranks, bus_),
       mpi_(eng_, fabric_, preset_.mpi),
-      ckpt_(mpi_, fs_, ckpt_cfg) {
-  if (preset_.tier.enabled && opts.attach_tier) {
-    tier_.emplace(fs_, preset_.tier, preset_.nranks, bus_);
-    tier_->set_replica_transport(
-        [this](int src, int dst, storage::Bytes b) {
-          return fabric_.bulk_transfer(src, dst, b);
-        });
-    tier_->set_trace(opts.trace);
-    ckpt_.set_tier(&*tier_);
-  }
+      ckpt_(mpi_, tier_, ckpt_cfg) {
+  tier_.set_replica_transport([this](int src, int dst, storage::Bytes b) {
+    return fabric_.bulk_transfer(src, dst, b);
+  });
+  tier_.set_trace(opts.trace);
   if (opts.trace) ckpt_.set_trace(opts.trace);
   if (opts.hooks) mpi_.set_hooks(opts.hooks);
 }

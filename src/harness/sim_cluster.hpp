@@ -1,7 +1,5 @@
 #pragma once
 
-#include <optional>
-
 #include <memory>
 
 #include "ckpt/checkpoint.hpp"
@@ -23,16 +21,18 @@ struct SimClusterOptions {
   sim::Trace* trace = nullptr;
   /// MPI delivery hooks (traffic observers).
   mpi::MpiHooks* hooks = nullptr;
-  /// Instantiate the staging tier when `preset.tier.enabled`. Recovery's
-  /// restart phase sets this false: a restarted job reloads images but its
-  /// fresh local tiers start empty and play no further role.
+  /// Enable the staging tier when `preset.tier.enabled`; otherwise the store
+  /// writes straight to the PFS. Recovery's restart phase sets this false: a
+  /// restarted job reloads images but its fresh local tiers start empty and
+  /// play no further role.
   bool attach_tier = true;
 };
 
 /// The composition root: one simulated cluster, fully wired.
 ///
-/// Owns the engine, fabric (with its connection manager), shared PFS,
-/// optional node-local staging tier, MiniMPI and the C/R service, and
+/// Owns the engine, fabric (with its connection manager), shared PFS, the
+/// image store (node-local staging tier, when enabled, and the image
+/// catalog), MiniMPI and the C/R service, and
 /// performs all the cross-layer plumbing (tier replica transport over the
 /// fabric, trace fan-out, gate installation) in exactly one place. Every
 /// driver — experiments, recovery replays, MTBF loops, tools, tests —
@@ -55,7 +55,9 @@ struct SimClusterOptions {
 /// case.
 ///
 /// Construction schedules no engine events; two clusters built from the
-/// same preset are bit-identical starting states.
+/// same preset are bit-identical starting states. Throws
+/// std::invalid_argument for a configuration the model cannot honour, such
+/// as incremental snapshots on an enabled tier.
 class SimCluster {
  public:
   explicit SimCluster(const ClusterPreset& preset,
@@ -91,8 +93,10 @@ class SimCluster {
   storage::StorageSystem& shared_fs() noexcept { return fs_; }
   mpi::MiniMPI& mpi() noexcept { return mpi_; }
   ckpt::CheckpointService& checkpoints() noexcept { return ckpt_; }
-  /// Null when the preset has no tier (or attach_tier was false).
-  storage::TieredStore* tier() noexcept { return tier_ ? &*tier_ : nullptr; }
+  /// The image store: never null; enabled() is false when the preset has no
+  /// tier (or attach_tier was false), and then every write is a direct PFS
+  /// write. Its catalog() records every image either way.
+  storage::TieredStore* tier() noexcept { return &tier_; }
 
   /// Spawns `per_rank(rank_ctx)` for every rank on the rank's home engine
   /// (the usual launch pattern), and registers each for liveness tracking:
@@ -109,6 +113,11 @@ class SimCluster {
 
  private:
   static sim::ShardedEngine::Options engine_options(const ClusterPreset& p);
+  /// The store's tier knobs: the preset's, enabled only when attached.
+  /// Rejects incremental snapshots on an enabled tier.
+  static storage::TierConfig tier_config(const ClusterPreset& p,
+                                         const ckpt::CkptConfig& ckpt_cfg,
+                                         const SimClusterOptions& opts);
   /// Wraps one rank's main: on return, reports liveness to the service LP.
   sim::Task<void> rank_main(sim::Task<void> body, int rank);
 
@@ -118,9 +127,9 @@ class SimCluster {
   sim::LpBus bus_;
   net::Fabric fabric_;
   storage::StorageSystem fs_;
+  storage::TieredStore tier_;
   mpi::MiniMPI mpi_;
   ckpt::CheckpointService ckpt_;
-  std::optional<storage::TieredStore> tier_;
 };
 
 }  // namespace gbc::harness

@@ -133,19 +133,18 @@ int ConnectionManager::established_count() const {
 // Fabric
 // ---------------------------------------------------------------------------
 
-Fabric::Fabric(sim::Engine& eng, NetConfig cfg, int n_endpoints,
-               sim::LpBus& bus)
-    : eng_(eng),
+Fabric::Fabric(NetConfig cfg, sim::LpBus& bus)
+    : eng_(bus.engine_of(bus.svc_lp())),
       cfg_(cfg),
-      n_(n_endpoints),
+      n_(bus.nranks()),
       bus_(bus),
-      receivers_(n_endpoints),
-      staging_(static_cast<std::size_t>(n_endpoints)),
-      traffic_(static_cast<std::size_t>(n_endpoints) * n_endpoints, 0),
-      msgcount_(static_cast<std::size_t>(n_endpoints) * n_endpoints, 0) {
+      receivers_(n_),
+      staging_(static_cast<std::size_t>(n_)),
+      traffic_(static_cast<std::size_t>(n_) * n_, 0),
+      msgcount_(static_cast<std::size_t>(n_) * n_, 0) {
   assert(bus_.floor() <= floor_hop(cfg_) &&
          "wire flights would undercut the bus floor");
-  if (!cfg_.topology.flat()) tree_.emplace(cfg_.topology, n_endpoints);
+  if (!cfg_.topology.flat()) tree_.emplace(cfg_.topology, n_);
   rank_net_.reserve(n_);
   for (int r = 0; r < n_; ++r) {
     rank_net_.push_back(std::make_unique<RankNet>(bus_.engine_of(r)));
@@ -156,8 +155,7 @@ Fabric::Fabric(sim::Engine& eng, NetConfig cfg, int n_endpoints,
     flight_pool_.push_back(std::make_unique<sim::Pool<FlightRec>>(256));
   }
   return_stack_ = std::make_unique<ReturnStack[]>(shards);
-  conn_mgr_ =
-      std::make_unique<ConnectionManager>(eng, *this, n_endpoints, cfg);
+  conn_mgr_ = std::make_unique<ConnectionManager>(eng_, *this, n_, cfg);
 }
 
 Fabric::~Fabric() {

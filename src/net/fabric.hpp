@@ -242,10 +242,10 @@ class Fabric {
  public:
   using Deliver = std::function<void(Packet)>;
 
-  /// `bus` connects the fabric to the cluster's LP topology; `eng` is the
-  /// service LP's engine, where the connection manager runs. The bus floor
-  /// must not exceed floor_hop(cfg).
-  Fabric(sim::Engine& eng, NetConfig cfg, int n_endpoints, sim::LpBus& bus);
+  /// `bus` connects the fabric to the cluster's LP topology: one endpoint
+  /// per rank LP, and the connection manager runs on the service LP's
+  /// engine. The bus floor must not exceed floor_hop(cfg).
+  Fabric(NetConfig cfg, sim::LpBus& bus);
   ~Fabric();
 
   int size() const noexcept { return n_; }

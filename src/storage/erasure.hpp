@@ -60,8 +60,8 @@ struct ErasureConfig {
 };
 
 /// Per-image chunk ledger record: where each of the k+m chunks went and
-/// when it landed. Lives inside TieredStore::ImageInfo so a detached
-/// TierLedger can answer "still decodable given this dead-node set" after
+/// when it landed. Lives inside the image's ImageCatalog entry so a copy of
+/// the catalog can answer "still decodable given this dead-node set" after
 /// the failed run is torn down.
 struct ErasureChunks {
   int k = 0;  ///< 0 = image not erasure-coded

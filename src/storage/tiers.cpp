@@ -7,7 +7,7 @@ namespace gbc::storage {
 
 TieredStore::TieredStore(StorageSystem& pfs, TierConfig cfg, int nnodes,
                          sim::LpBus& bus)
-    : pfs_(pfs), cfg_(cfg), bus_(bus) {
+    : pfs_(pfs), cfg_(cfg), bus_(bus), catalog_(nnodes) {
   // Each node's condition variable lives on the node's home engine so that
   // pause/resume wakeups stay shard-local.
   for (int i = 0; i < nnodes; ++i) nodes_.emplace_back(engine_of(i));
@@ -42,9 +42,12 @@ bool TieredStore::make_room(int node, Bytes need) {
   if (st.used + need <= cap) return true;
   // Evict oldest fully-drained images first; undrained images are pinned
   // (dropping them would lose the only copy before it reached the PFS).
-  for (auto& img : st.images) {
+  for (auto& img : catalog_.partition(node)) {
     if (st.used + need <= cap) break;
-    if (!local_available(img) || !pfs_durable(img)) continue;
+    if (!ImageCatalog::local_available(img) ||
+        !ImageCatalog::pfs_durable(img)) {
+      continue;
+    }
     img.evicted = true;
     st.used -= img.bytes;
     ++st.images_evicted;
@@ -53,24 +56,25 @@ bool TieredStore::make_room(int node, Bytes need) {
   return st.used + need <= cap;
 }
 
-sim::Task<std::uint64_t> TieredStore::snapshot(int node, Bytes bytes) {
+sim::Task<std::uint64_t> TieredStore::snapshot(int node, Bytes bytes,
+                                               bool incremental) {
   sim::Engine& eng = engine_of(node);
   NodeState& st = nodes_[node];
-  st.images.push_back(ImageInfo{});
-  ImageInfo& img = st.images.back();
-  img.id = (static_cast<std::uint64_t>(node) + 1) << kIdNodeShift |
-           ++st.next_seq;
-  img.node = node;
-  img.bytes = bytes;
+  ImageInfo& img = catalog_.append(node, bytes, incremental);
 
+  if (!cfg_.enabled) {
+    // No staging tier: the image goes straight to the shared PFS.
+    co_await pfs_write_from(node, bytes);
+    img.written_at = img.drained_at = eng.now();
+    co_return img.id;
+  }
   if (!make_room(node, bytes)) {
     // Local tier full of not-yet-durable images: fall through to the shared
     // PFS, paying the storage bottleneck this subsystem exists to avoid.
     ++st.write_throughs;
     trace_event(node, "pfs-write", "begin img=" + std::to_string(img.id));
     co_await pfs_write_from(node, bytes);
-    img.written_at = eng.now();
-    img.drained_at = eng.now();  // already on the PFS
+    img.written_at = img.drained_at = eng.now();  // already on the PFS
     trace_event(node, "pfs-write", "end img=" + std::to_string(img.id));
     co_return img.id;
   }
@@ -97,11 +101,11 @@ sim::Task<std::uint64_t> TieredStore::snapshot(int node, Bytes bytes) {
     }
   }
 
-  if (cfg_.replicate && nnodes() > 1) co_await replicate_image(img.id);
+  if (cfg_.replicate && nnodes() > 1) co_await replicate_image(img);
   // Erasure protection runs after replication so the stripe scatter and the
   // partner copy never interleave on the home node's staging lane in a
-  // schedule-dependent order. The write-through PFS path above skips this:
-  // those images are already durable against any node loss.
+  // schedule-dependent order. The PFS paths above skip this: those images
+  // are already durable against any node loss.
   if (erasure_) {
     co_await erasure_->protect(eng, node, bytes, img.id, &img.ec, transport_,
                                cfg_.replica_fallback_mbps);
@@ -109,12 +113,11 @@ sim::Task<std::uint64_t> TieredStore::snapshot(int node, Bytes bytes) {
   co_return img.id;
 }
 
-sim::Task<void> TieredStore::replicate_image(std::uint64_t id) {
-  ImageInfo& img = *find_mut(id);
+sim::Task<void> TieredStore::replicate_image(ImageInfo& img) {
   sim::Engine& eng = engine_of(img.node);
   img.partner = (img.node + cfg_.replica_offset) % nnodes();
   trace_event(img.node, "replicate",
-              "begin img=" + std::to_string(id) + " to=" +
+              "begin img=" + std::to_string(img.id) + " to=" +
                   std::to_string(img.partner));
   if (transport_) {
     co_await transport_(img.node, img.partner, img.bytes);
@@ -123,7 +126,7 @@ sim::Task<void> TieredStore::replicate_image(std::uint64_t id) {
   }
   img.replicated_at = eng.now();
   ++nodes_[img.node].replicas_made;
-  trace_event(img.node, "replicate", "end img=" + std::to_string(id));
+  trace_event(img.node, "replicate", "end img=" + std::to_string(img.id));
 }
 
 sim::Task<void> TieredStore::read_local(int node, Bytes bytes) {
@@ -143,7 +146,7 @@ sim::Task<void> TieredStore::drain_service(int node) {
     const std::uint64_t id = st.drain_queue.front();
     st.drain_queue.pop_front();
     st.draining = id;
-    ImageInfo& img = st.images[seq_of_id(id) - 1];
+    ImageInfo& img = *catalog_.find(id);
     trace_event(node, "drain", "begin img=" + std::to_string(id));
     Bytes remaining = img.bytes;
     const Bytes chunk = chunk_bytes();

@@ -12,16 +12,15 @@
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
+#include "storage/catalog.hpp"
 #include "storage/erasure.hpp"
 #include "storage/storage.hpp"
 
 namespace gbc::storage {
 
-class TierLedger;
-
 /// Multi-level checkpoint staging knobs (FTI-style storage hierarchy in
-/// front of the shared PFS). Disabled by default so every existing
-/// experiment is bit-identical to the single-tier model.
+/// front of the shared PFS). Disabled by default: every image is then a
+/// direct PFS write, the paper's single-tier model.
 struct TierConfig {
   bool enabled = false;
 
@@ -68,19 +67,16 @@ inline sim::Time transfer_time(Bytes bytes, double mbps) {
 }
 
 /// Node-local checkpoint tier in front of the shared StorageSystem, with a
-/// background drain service per node and optional partner replication.
-///
-/// Every snapshot becomes a ledger entry (ImageInfo) recording where the
-/// image lives and when each durability level was reached:
-///   written_at     local copy complete (survives a job abort, not the node)
-///   replicated_at  partner copy complete (survives losing the home node)
-///   drained_at     PFS copy complete (survives anything)
-/// Recovery reads this ledger to decide which checkpoint is restorable
-/// after a node loss (harness/recovery.cpp; DESIGN.md §10).
+/// background drain service per node and optional partner replication —
+/// and, with the tier disabled, the direct PFS write path. Either way every
+/// snapshot becomes an ImageCatalog entry recording where the image lives
+/// and when each durability level was reached; recovery reads a copy of
+/// that catalog to decide which checkpoint is restorable after a node loss
+/// and what its restore reads cost (harness/recovery.cpp; DESIGN.md §10).
 ///
 /// The store is *partitioned by node* (DESIGN.md §15): each node owns its
-/// ledger shard, staging-disk schedule, drain queue, and stat slots, and
-/// all of a node's tier work (foreground write, drain pacing,
+/// catalog partition, staging-disk schedule, drain queue, and stat slots,
+/// and all of a node's tier work (foreground write, drain pacing,
 /// replica/erasure scatter) runs on that node's home shard engine. Only the
 /// shared PFS stays central: every PFS leg is routed to the service LP by
 /// message, so PFS arbitration order is canonical at any shard count.
@@ -89,19 +85,6 @@ class TieredStore {
   /// Copies `bytes` from node `src` to node `dst` over the interconnect.
   using Transport = std::function<sim::Task<void>(int src, int dst,
                                                   Bytes bytes)>;
-
-  struct ImageInfo {
-    std::uint64_t id = 0;  ///< node-encoded ledger id; 0 means "no image"
-    int node = -1;
-    Bytes bytes = 0;
-    bool local = false;    ///< written to the local tier (vs PFS write-through)
-    bool evicted = false;  ///< local copy dropped to make room
-    int partner = -1;      ///< replica node, -1 when not replicated
-    sim::Time written_at = -1;     ///< local (or write-through) completion
-    sim::Time replicated_at = -1;  ///< partner copy completion, -1 pending
-    sim::Time drained_at = -1;     ///< PFS durability instant, -1 pending
-    ErasureChunks ec;              ///< chunk placement, inactive when k == 0
-  };
 
   /// Node i's partition lives on LP i's home shard (node ids and rank LP
   /// ids coincide in the harness); `pfs` lives on the service LP and PFS
@@ -114,6 +97,7 @@ class TieredStore {
   bool enabled() const noexcept { return cfg_.enabled; }
   const TierConfig& config() const noexcept { return cfg_; }
   int nnodes() const noexcept { return static_cast<int>(nodes_.size()); }
+  StorageSystem& pfs() noexcept { return pfs_; }
 
   /// Replica copies go through this (the harness installs the fabric's
   /// bulk_transfer). Without one, replica_fallback_mbps is charged.
@@ -125,13 +109,16 @@ class TieredStore {
   /// Non-null iff the erasure knob set is enabled (and the tier is).
   ErasureTier* erasure() const noexcept { return erasure_.get(); }
 
-  /// Foreground snapshot write from `node`: local-tier write (plus partner
-  /// replication when enabled), falling through to a direct PFS write when
-  /// the local tier cannot make room. Resolves when the image is durable at
-  /// checkpoint-completion level (local [+replica], or PFS for
-  /// write-through); the drain to the PFS continues in the background.
-  /// Returns the ledger id. Must be called on `node`'s engine (rank LP).
-  sim::Task<std::uint64_t> snapshot(int node, Bytes bytes);
+  /// Foreground snapshot write from `node`. With the tier enabled: a
+  /// local-tier write (plus partner replication / erasure protection when
+  /// enabled), falling through to a direct PFS write when the local tier
+  /// cannot make room; the drain to the PFS continues in the background.
+  /// With the tier disabled: the direct PFS write. Resolves when the image
+  /// is durable at checkpoint-completion level and returns its catalog id.
+  /// `incremental` marks an image that chains to the node's previous one.
+  /// Must be called on `node`'s engine (rank LP).
+  sim::Task<std::uint64_t> snapshot(int node, Bytes bytes,
+                                    bool incremental = false);
 
   /// Local restore read on `node` (dedicated bandwidth, serialized on the
   /// node's disk like writes). Must be called on `node`'s engine.
@@ -143,67 +130,9 @@ class TieredStore {
   void resume_drain(int node);
   bool drain_paused(int node) const { return nodes_[node].paused; }
 
-  // --- ledger / durability queries (recovery) ---
-  /// Ledger ids encode (node, per-node sequence): the partitioned shards
-  /// stay independently appendable on their home engines while ids remain
-  /// globally resolvable. 0 stays "no image".
-  static constexpr int kIdNodeShift = 40;
-  static int node_of_id(std::uint64_t id) noexcept {
-    return static_cast<int>(id >> kIdNodeShift) - 1;
-  }
-  static std::uint64_t seq_of_id(std::uint64_t id) noexcept {
-    return id & ((std::uint64_t{1} << kIdNodeShift) - 1);
-  }
-  /// Resolves an id against the owning node's partition; nullptr for 0 /
-  /// unknown. Safe from any engine once that image's writer has synced with
-  /// the reader (recovery reads after the run; cycle code reads its own).
-  const ImageInfo* find(std::uint64_t id) const {
-    const int node = node_of_id(id);
-    if (node < 0 || node >= nnodes()) return nullptr;
-    const std::uint64_t seq = seq_of_id(id);
-    const auto& part = nodes_[node].images;
-    return seq >= 1 && seq <= part.size() ? &part[seq - 1] : nullptr;
-  }
-  /// Detached copy of the ledger that outlives the store (recovery keeps
-  /// one after the failed simulation is torn down). Gathers the per-node
-  /// partitions in node order; only call when the run is quiescent.
-  TierLedger ledger() const;
-  static bool local_available(const ImageInfo& img) {
-    return img.local && !img.evicted;
-  }
-  static bool pfs_durable(const ImageInfo& img) { return img.drained_at >= 0; }
-  /// Shared aliveness predicate for every remote-durability check below:
-  /// nodes outside the set (or unset, -1) count as alive.
-  static bool node_failed(int node, const std::vector<char>& failed_nodes) {
-    return node >= 0 && node < static_cast<int>(failed_nodes.size()) &&
-           failed_nodes[node];
-  }
-  /// Replica survives a set of dead nodes (multi-failure recovery) only if
-  /// the partner node is not in the set.
-  static bool replica_available(const ImageInfo& img,
-                                const std::vector<char>& failed_nodes) {
-    return img.replicated_at >= 0 && !node_failed(img.partner, failed_nodes);
-  }
-  static bool replica_available(const ImageInfo& img, int failed_node) {
-    std::vector<char> failed(
-        failed_node >= 0 ? static_cast<std::size_t>(failed_node) + 1 : 0, 0);
-    if (failed_node >= 0) failed[static_cast<std::size_t>(failed_node)] = 1;
-    return replica_available(img, failed);
-  }
-  /// The erasure stripe is decodable when at least k placed chunks sit on
-  /// nodes outside the dead set (same predicate as replica_available).
-  static bool erasure_decodable(const ImageInfo& img,
-                                const std::vector<char>& failed_nodes) {
-    if (!img.ec.active()) return false;
-    int alive = 0;
-    for (std::size_t c = 0; c < img.ec.nodes.size(); ++c) {
-      if (img.ec.done_at[c] >= 0 &&
-          !node_failed(img.ec.nodes[c], failed_nodes)) {
-        ++alive;
-      }
-    }
-    return alive >= img.ec.k;
-  }
+  /// Every image this store wrote. Read it (or copy it) only once the
+  /// writers have synced with the reader: recovery copies it after the run.
+  const ImageCatalog& catalog() const noexcept { return catalog_; }
 
   // --- stats (per-node slots, summed at quiescence) ---
   Bytes local_used(int node) const { return nodes_[node].used; }
@@ -229,7 +158,7 @@ class TieredStore {
   int drain_backlog() const;
 
  private:
-  /// One node's partition of the store: ledger shard, staging-disk
+  /// One node's slice of the store outside the catalog: staging-disk
   /// schedule, drain queue, and stat slots, all owned by the node's home
   /// shard engine. Cache-line aligned so two nodes' hot counters never
   /// share a line across shard threads.
@@ -242,8 +171,6 @@ class TieredStore {
     bool drain_running = false;
     bool paused = false;
     sim::Condition cv;  // pause/resume wakeups (on the node's engine)
-    std::deque<ImageInfo> images;  // ledger shard; stable refs across waits
-    std::uint64_t next_seq = 0;    // per-node id sequence (1-based)
     std::int64_t write_throughs = 0;
     std::int64_t images_drained = 0;
     std::int64_t images_evicted = 0;
@@ -254,9 +181,6 @@ class TieredStore {
   /// The one shared resource: PFS writes are arbitrated on the service LP,
   /// so their interleaving is canonical at any shard count.
   sim::Task<void> pfs_write_from(int node, Bytes bytes);
-  ImageInfo* find_mut(std::uint64_t id) {
-    return const_cast<ImageInfo*>(find(id));
-  }
   std::int64_t sum_nodes(std::int64_t NodeState::* slot) const {
     std::int64_t n = 0;
     for (const auto& st : nodes_) n += st.*slot;
@@ -264,7 +188,7 @@ class TieredStore {
   }
 
   sim::Task<void> drain_service(int node);
-  sim::Task<void> replicate_image(std::uint64_t id);
+  sim::Task<void> replicate_image(ImageInfo& img);
   /// Frees drained images until `need` more bytes fit; false if impossible.
   bool make_room(int node, Bytes need);
   Bytes capacity() const {
@@ -282,44 +206,8 @@ class TieredStore {
   Transport transport_;
   std::unique_ptr<ErasureTier> erasure_;
   sim::Trace* trace_ = nullptr;
+  ImageCatalog catalog_;
   std::deque<NodeState> nodes_;  // deque: Condition is immovable
 };
-
-/// Value-type snapshot of a TieredStore's durability ledger. Recovery holds
-/// one across simulations: the failed run's store (and engine) are gone by
-/// the time restore sources are chosen, and under multiple failures the
-/// same ledger is re-queried with a growing set of dead nodes. The images
-/// sit flat in (node, per-node sequence) order — the gather of the per-node
-/// partitions — and lookups resolve node-encoded ids by scan.
-class TierLedger {
- public:
-  TierLedger() = default;
-  explicit TierLedger(std::deque<TieredStore::ImageInfo> images)
-      : images_(std::move(images)) {}
-
-  bool empty() const noexcept { return images_.empty(); }
-  std::size_t size() const noexcept { return images_.size(); }
-  const std::deque<TieredStore::ImageInfo>& images() const noexcept {
-    return images_;
-  }
-  const TieredStore::ImageInfo* find(std::uint64_t id) const {
-    if (id == 0) return nullptr;
-    for (const auto& img : images_) {
-      if (img.id == id) return &img;
-    }
-    return nullptr;
-  }
-
- private:
-  std::deque<TieredStore::ImageInfo> images_;
-};
-
-inline TierLedger TieredStore::ledger() const {
-  std::deque<ImageInfo> flat;
-  for (const auto& st : nodes_) {
-    flat.insert(flat.end(), st.images.begin(), st.images.end());
-  }
-  return TierLedger(std::move(flat));
-}
 
 }  // namespace gbc::storage

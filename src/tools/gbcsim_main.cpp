@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "harness/cli.hpp"
@@ -680,9 +681,7 @@ void print_toplevel_usage() {
       "unknown flags or stray arguments exit with status 2");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int dispatch(int argc, char** argv) {
   if (argc < 2) {
     print_toplevel_usage();
     return 2;
@@ -705,4 +704,17 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
   print_toplevel_usage();
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return dispatch(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    // A configuration the model rejects (e.g. SimCluster's tier +
+    // incremental rule): report it like any other usage error.
+    std::fprintf(stderr, "gbcsim: %s\n", e.what());
+    return 2;
+  }
 }

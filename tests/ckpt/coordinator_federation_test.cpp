@@ -73,7 +73,7 @@ GlobalCheckpoint run_cycle(int n, int shards, int threads, int group_size,
 void expect_sequential(const GlobalCheckpoint& gc) {
   sim::Time prev_end = -1;
   for (const auto& group : gc.plan.groups) {
-    sim::Time begin = sim::from_seconds(1e12), end = 0;
+    sim::Time begin = std::numeric_limits<sim::Time>::max(), end = 0;
     for (int m : group) {
       begin = std::min(begin, gc.snapshots[m].freeze_begin);
       end = std::max(end, gc.snapshots[m].resume_at);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "harness/sim_cluster.hpp"
 #include "harness/table.hpp"
 #include "workloads/microbench.hpp"
 
@@ -117,6 +120,44 @@ TEST(Table, FormatsAndStoresRows) {
   std::ostringstream os;
   t.print(os);
   EXPECT_NE(os.str().find("| a"), std::string::npos);
+}
+
+TEST(SimCluster, RejectsIncrementalSnapshotsOnAnEnabledTier) {
+  ClusterPreset p = small_cluster(4);
+  p.tier.enabled = true;
+  ckpt::CkptConfig cc;
+  cc.incremental = true;
+  EXPECT_THROW(SimCluster(p, cc), std::invalid_argument);
+  // A restart attempt's store has its tier disabled: PFS-only chains are
+  // fine, as is the tier with full snapshots.
+  EXPECT_NO_THROW(SimCluster(p, cc, {.attach_tier = false}));
+  cc.incremental = false;
+  EXPECT_NO_THROW(SimCluster(p, cc));
+}
+
+TEST(SimCluster, TierlessSnapshotsAreCataloguedAsDirectPfsWrites) {
+  SimCluster cluster(small_cluster(4));
+  ASSERT_FALSE(cluster.tier()->enabled());
+  auto wl = microbench_factory(2, 40, 32.0)(4);
+  wl->setup(cluster.mpi());
+  wl->attach(cluster.checkpoints());
+  cluster.checkpoints().request_at(sim::from_seconds(1),
+                                   ckpt::Protocol::kGroupBased);
+  cluster.spawn_ranks(
+      [&](mpi::RankCtx& rank) { return wl->run_rank(rank); });
+  cluster.run();
+  ASSERT_EQ(cluster.checkpoints().history().size(), 1u);
+  const storage::ImageCatalog& cat = cluster.tier()->catalog();
+  for (const auto& snap : cluster.checkpoints().history()[0].snapshots) {
+    const storage::ImageInfo* img = cat.find(snap.image_id);
+    ASSERT_NE(img, nullptr) << snap.rank;
+    EXPECT_EQ(img->node, snap.rank);
+    EXPECT_EQ(img->bytes, snap.image_bytes);
+    EXPECT_FALSE(img->local);
+    EXPECT_GE(img->written_at, 0);
+    EXPECT_EQ(img->drained_at, img->written_at);
+  }
+  EXPECT_EQ(cluster.tier()->write_throughs(), 0);
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ struct NetWorld {
   Fabric fabric;
 
   explicit NetWorld(int n, NetConfig c = {})
-      : cfg(c), bus(se, n, Fabric::floor_hop(cfg)), fabric(eng, cfg, n, bus) {}
+      : cfg(c), bus(se, n, Fabric::floor_hop(cfg)), fabric(cfg, bus) {}
   NetWorld(const NetWorld&) = delete;
   NetWorld& operator=(const NetWorld&) = delete;
   // Settle buckets still holding wire flights (a run stopped early) hand

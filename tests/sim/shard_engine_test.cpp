@@ -53,12 +53,13 @@ TEST(ShardedEngine, SameTimeCrossPostsMergeBySrcThenSeq) {
 
   // Both posts from shard 1 are issued before shard 0's (shard 1's seed
   // event fires first), yet shard 0's message must still deliver first.
+  // Each post lands at least one lookahead after its sender's clock.
   se.shard(1).schedule_at(0, [&] {
-    se.post(1, 2, 10, [&dst_log] { dst_log.push_back("s1:a"); });
-    se.post(1, 2, 10, [&dst_log] { dst_log.push_back("s1:b"); });
+    se.post(1, 2, 11, [&dst_log] { dst_log.push_back("s1:a"); });
+    se.post(1, 2, 11, [&dst_log] { dst_log.push_back("s1:b"); });
   });
   se.shard(0).schedule_at(1, [&] {
-    se.post(0, 2, 10, [&dst_log] { dst_log.push_back("s0:a"); });
+    se.post(0, 2, 11, [&dst_log] { dst_log.push_back("s0:a"); });
   });
   se.run();
 

@@ -185,27 +185,27 @@ TEST(ErasureLedger, DecodableWhileAtLeastKChunksSurvive) {
     out = co_await t.snapshot(1, mib(64));
   }(store, id));
   eng.run();
-  const auto* img = store.find(id);
+  const auto* img = store.catalog().find(id);
   ASSERT_NE(img, nullptr);
   ASSERT_TRUE(img->ec.active());
   EXPECT_GE(img->ec.encoded_at, 0);
 
   std::vector<char> failed(16, 0);
-  EXPECT_TRUE(TieredStore::erasure_decodable(*img, failed));
+  EXPECT_TRUE(ImageCatalog::erasure_decodable(*img, failed));
   // Losing any m = 2 chunk holders still leaves k = 4 survivors...
   failed[static_cast<std::size_t>(img->ec.nodes[0])] = 1;
   failed[static_cast<std::size_t>(img->ec.nodes[3])] = 1;
-  EXPECT_TRUE(TieredStore::erasure_decodable(*img, failed));
+  EXPECT_TRUE(ImageCatalog::erasure_decodable(*img, failed));
   // ...the home node dying changes nothing (it holds no chunk)...
   failed[1] = 1;
-  EXPECT_TRUE(TieredStore::erasure_decodable(*img, failed));
+  EXPECT_TRUE(ImageCatalog::erasure_decodable(*img, failed));
   // ...but a third chunk loss drops the stripe below k.
   failed[static_cast<std::size_t>(img->ec.nodes[5])] = 1;
-  EXPECT_FALSE(TieredStore::erasure_decodable(*img, failed));
+  EXPECT_FALSE(ImageCatalog::erasure_decodable(*img, failed));
 
-  // Replica predicate stays consistent across both overloads.
-  EXPECT_FALSE(TieredStore::replica_available(*img, failed));
-  EXPECT_FALSE(TieredStore::replica_available(*img, /*failed_node=*/2));
+  // No partner copy was made, so no dead set leaves a replica.
+  EXPECT_FALSE(ImageCatalog::replica_available(*img, failed));
+  EXPECT_FALSE(ImageCatalog::replica_available(*img, {}));
 }
 
 TEST(ErasureLedger, DisabledErasureLeavesImagesUnprotected) {
@@ -221,10 +221,11 @@ TEST(ErasureLedger, DisabledErasureLeavesImagesUnprotected) {
     out = co_await t.snapshot(0, mib(64));
   }(store, id));
   eng.run();
-  const auto* img = store.find(id);
+  const auto* img = store.catalog().find(id);
   ASSERT_NE(img, nullptr);
   EXPECT_FALSE(img->ec.active());
-  EXPECT_FALSE(TieredStore::erasure_decodable(*img, std::vector<char>(16, 0)));
+  EXPECT_FALSE(
+      ImageCatalog::erasure_decodable(*img, std::vector<char>(16, 0)));
   EXPECT_EQ(store.images_encoded(), 0);
   EXPECT_EQ(store.ec_chunks_placed(), 0);
 }

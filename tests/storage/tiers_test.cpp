@@ -50,10 +50,10 @@ TEST(TieredStore, LocalWriteTakesLocalBandwidthTime) {
   auto [id, secs] = timed_snapshot(f, 0, mib(400));
   // 400 MiB at 400 MB/s = 1 s, far below any PFS write time.
   EXPECT_NEAR(secs, 1.0, 1e-6);
-  const auto* img = f.tier.find(id);
+  const auto* img = f.tier.catalog().find(id);
   ASSERT_NE(img, nullptr);
-  EXPECT_TRUE(TieredStore::local_available(*img));
-  EXPECT_FALSE(TieredStore::pfs_durable(*img));
+  EXPECT_TRUE(ImageCatalog::local_available(*img));
+  EXPECT_FALSE(ImageCatalog::pfs_durable(*img));
   EXPECT_EQ(f.tier.local_used(0), mib(400));
 }
 
@@ -99,9 +99,9 @@ TEST(TieredStore, DrainPacedByDrainRateWhenPfsIsFaster) {
   const std::uint64_t id = timed_snapshot(f, 0, mib(64)).first;
   ASSERT_EQ(f.tier.images_drained(), 1);
   // 64 MiB at 16 MB/s = 4 s of draining after the 0.16 s local write.
-  EXPECT_NEAR(sim::to_seconds(f.tier.find(id)->drained_at), 0.16 + 4.0,
-              0.05);
-  EXPECT_TRUE(TieredStore::pfs_durable(*f.tier.find(id)));
+  const ImageCatalog& cat = f.tier.catalog();
+  EXPECT_NEAR(sim::to_seconds(cat.find(id)->drained_at), 0.16 + 4.0, 0.05);
+  EXPECT_TRUE(ImageCatalog::pfs_durable(*cat.find(id)));
 }
 
 TEST(TieredStore, DrainLimitedByPfsFairShareWhenRateIsHigher) {
@@ -111,8 +111,8 @@ TEST(TieredStore, DrainLimitedByPfsFairShareWhenRateIsHigher) {
   const std::uint64_t id = timed_snapshot(f, 0, mib(108)).first;
   // 108 MiB through the PFS at the 108 MB/s single-client cap: ~1 s after
   // the local write, no faster no matter what drain rate was requested.
-  EXPECT_NEAR(sim::to_seconds(f.tier.find(id)->drained_at), 0.27 + 1.0,
-              0.05);
+  EXPECT_NEAR(sim::to_seconds(f.tier.catalog().find(id)->drained_at),
+              0.27 + 1.0, 0.05);
 }
 
 TEST(TieredStore, CapacityEvictsOnlyDrainedImages) {
@@ -123,12 +123,13 @@ TEST(TieredStore, CapacityEvictsOnlyDrainedImages) {
   // The run to quiescence lets the first image finish draining (64 MiB /
   // 50 MBps = 1.28 s).
   auto [id1, s1] = timed_snapshot(f, 0, mib(64));
-  ASSERT_TRUE(TieredStore::pfs_durable(*f.tier.find(id1)));
+  const ImageCatalog& cat = f.tier.catalog();
+  ASSERT_TRUE(ImageCatalog::pfs_durable(*cat.find(id1)));
   // The second image needs the space: the drained one is evicted.
   auto [id2, s2] = timed_snapshot(f, 0, mib(64));
-  EXPECT_TRUE(f.tier.find(id1)->evicted);
-  EXPECT_FALSE(TieredStore::local_available(*f.tier.find(id1)));
-  EXPECT_TRUE(TieredStore::local_available(*f.tier.find(id2)));
+  EXPECT_TRUE(cat.find(id1)->evicted);
+  EXPECT_FALSE(ImageCatalog::local_available(*cat.find(id1)));
+  EXPECT_TRUE(ImageCatalog::local_available(*cat.find(id2)));
   EXPECT_EQ(f.tier.images_evicted(), 1);
   EXPECT_EQ(f.tier.local_used(0), mib(64));
 }
@@ -140,9 +141,9 @@ TEST(TieredStore, FullOfUndrainedImagesWritesThroughToPfs) {
   Fixture f(tc, 2);
   timed_snapshot(f, 0, mib(64));
   auto [id2, s2] = timed_snapshot(f, 0, mib(64));
-  const auto* img2 = f.tier.find(id2);
+  const auto* img2 = f.tier.catalog().find(id2);
   EXPECT_FALSE(img2->local);
-  EXPECT_TRUE(TieredStore::pfs_durable(*img2));  // it went straight to PFS
+  EXPECT_TRUE(ImageCatalog::pfs_durable(*img2));  // it went straight to PFS
   EXPECT_EQ(f.tier.write_throughs(), 1);
   // PFS write of 64 MiB at 108 MB/s is much slower than the local 0.16 s.
   EXPECT_GT(s2, 0.5);
@@ -169,10 +170,11 @@ TEST(TieredStore, ReplicationUsesInstalledTransport) {
   EXPECT_EQ(got_src, 1);
   EXPECT_EQ(got_dst, 2);
   EXPECT_EQ(got_bytes, mib(64));
-  const auto* img = f.tier.find(id);
+  const auto* img = f.tier.catalog().find(id);
   EXPECT_EQ(img->partner, 2);
-  EXPECT_TRUE(TieredStore::replica_available(*img, /*failed_node=*/1));
-  EXPECT_FALSE(TieredStore::replica_available(*img, /*failed_node=*/2));
+  // Home node 1 dead: the partner copy survives; partner 2 dead: it is gone.
+  EXPECT_TRUE(ImageCatalog::replica_available(*img, {0, 1, 0, 0}));
+  EXPECT_FALSE(ImageCatalog::replica_available(*img, {0, 0, 1, 0}));
   EXPECT_EQ(f.tier.replicas_made(), 1);
   // Snapshot completion waits for the replica: 0.16 s write + 2 s copy.
   EXPECT_NEAR(secs, 2.16, 0.01);
@@ -194,7 +196,8 @@ TEST(TieredStore, PauseStallsDrainUntilResume) {
   f.eng.run();
   EXPECT_EQ(f.tier.images_drained(), 1);
   // Resume fires 10 s after the 0.16 s local write; drain then takes 1 s.
-  EXPECT_NEAR(sim::to_seconds(f.tier.find(id)->drained_at), 11.16, 0.05);
+  EXPECT_NEAR(sim::to_seconds(f.tier.catalog().find(id)->drained_at), 11.16,
+              0.05);
 }
 
 TEST(TieredStore, QuiesceDrainsAllNodes) {
@@ -212,7 +215,8 @@ TEST(TieredStore, QuiesceDrainsAllNodes) {
   EXPECT_EQ(f.tier.images_drained(), 4);
   EXPECT_EQ(f.tier.drain_backlog(), 0);
   for (int n = 0; n < 4; ++n) {
-    EXPECT_TRUE(TieredStore::pfs_durable(*f.tier.find(ids[n]))) << n;
+    EXPECT_TRUE(ImageCatalog::pfs_durable(*f.tier.catalog().find(ids[n])))
+        << n;
   }
 }
 
