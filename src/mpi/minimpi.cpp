@@ -33,12 +33,13 @@ MiniMPI::MiniMPI(sim::Engine& eng, net::Fabric& fabric, MpiConfig cfg)
           ctx->on_packet(std::move(p));
         });
   }
-  comms_.push_back(std::make_unique<Comm>(comm_counter_++, world_members));
+  create_comm(std::move(world_members));
 }
 
 const Comm& MiniMPI::create_comm(std::vector<int> members) {
-  comms_.push_back(
-      std::make_unique<Comm>(comm_counter_++, std::move(members)));
+  comms_.push_back(std::make_unique<Comm>(comms_.size(), std::move(members)));
+  // find_comm indexes the registry by id.
+  assert(comms_.back()->id() == comms_.size() - 1);
   return *comms_.back();
 }
 
@@ -56,13 +57,6 @@ std::vector<const Comm*> MiniMPI::split(const Comm& parent,
     result.push_back(&create_comm(std::move(members)));
   }
   return result;
-}
-
-const Comm* MiniMPI::find_comm(std::uint64_t id) const {
-  for (const auto& c : comms_) {
-    if (c->id() == id) return c.get();
-  }
-  return nullptr;
 }
 
 void MiniMPI::set_gate(CommGate* gate) {
@@ -173,7 +167,9 @@ RecvInfo RankCtx::fill_info(const Envelope& env) const {
 }
 
 Tag RankCtx::begin_collective(const Comm& c) {
-  const std::uint64_t seq = coll_seq_[c.id()]++;
+  const auto id = static_cast<std::size_t>(c.id());
+  if (id >= coll_seq_.size()) coll_seq_.resize(id + 1, 0);
+  const std::uint64_t seq = coll_seq_[id]++;
   return kCollectiveTagBase + static_cast<Tag>(seq << 16);
 }
 
@@ -329,14 +325,6 @@ sim::Task<void> RankCtx::pump(int dst) {
   ob.pump_running = false;
 }
 
-std::vector<int> RankCtx::pending_destinations() const {
-  std::vector<int> dsts;
-  for (const auto& [dst, ob] : outbound_) {
-    if (!ob.q.empty()) dsts.push_back(dst);
-  }
-  return dsts;
-}
-
 sim::Task<void> RankCtx::flush_channel_to(int peer) {
   // Sender-side in-flight counters are rank-local: no service round-trip.
   return mpi_.fabric_.drain_outbound(rank_, peer);
@@ -367,7 +355,7 @@ sim::Task<void> RankCtx::send(const Comm& c, int dst, Tag tag, Bytes bytes,
   }
   // Rendezvous: request stays open until the FIN returns.
   auto req = make_request(/*is_recv=*/false);
-  pending_send_[env.id] = req;
+  pending_send_.put(env.id, req);
   push_out(dst_world, OutItem{OutItem::Kind::kRts, std::move(env), true});
   co_await wait(req);
 }
@@ -390,7 +378,7 @@ Request RankCtx::isend(const Comm& c, int dst, Tag tag, Bytes bytes,
     req->done = true;  // buffered: locally complete
     return req;
   }
-  pending_send_[env.id] = req;
+  pending_send_.put(env.id, req);
   push_out(dst_world, OutItem{OutItem::Kind::kRts, std::move(env), true});
   return req;
 }
@@ -479,7 +467,7 @@ void RankCtx::deliver_eager(const Envelope& env) {
 }
 
 void RankCtx::start_rndv_receive(const Envelope& env, const Request& req) {
-  rndv_recv_[env.id] = req;
+  rndv_recv_.put(env.id, req);
   push_out(env.src_world, OutItem{OutItem::Kind::kCts, env, true});
 }
 
@@ -512,10 +500,8 @@ void RankCtx::on_packet(net::Packet p) {
       break;
     }
     case net::PacketKind::kRdmaData: {
-      auto it = rndv_recv_.find(env.id);
-      assert(it != rndv_recv_.end() && "RDMA data with no receive in progress");
-      Request req = it->second;
-      rndv_recv_.erase(it);
+      Request req = rndv_recv_.take(env.id);
+      assert(req && "RDMA data with no receive in progress");
       if (MpiHooks* hk = hooks()) {
         hk->on_deliver(env.src_world, rank_, env.bytes);
       }
@@ -526,10 +512,8 @@ void RankCtx::on_packet(net::Packet p) {
       break;
     }
     case net::PacketKind::kFin: {
-      auto it = pending_send_.find(env.id);
-      assert(it != pending_send_.end() && "FIN with no pending send");
-      Request req = it->second;
-      pending_send_.erase(it);
+      Request req = pending_send_.take(env.id);
+      assert(req && "FIN with no pending send");
       complete(req);
       break;
     }

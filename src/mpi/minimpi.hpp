@@ -2,15 +2,16 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mpi/comm.hpp"
 #include "mpi/matcher.hpp"
 #include "mpi/types.hpp"
 #include "net/fabric.hpp"
+#include "net/peer_table.hpp"
 #include "sim/condition.hpp"
 #include "sim/engine.hpp"
 #include "sim/pausable.hpp"
@@ -188,8 +189,6 @@ class RankCtx {
   bool frozen() const { return exec_->paused(); }
   /// Bytes currently parked in the eager message buffer by the gate.
   Bytes message_buffer_bytes() const noexcept { return msg_buffer_cur_; }
-  /// World ranks toward which data-plane items are queued or pending.
-  std::vector<int> pending_destinations() const;
   /// Waits until nothing this rank sent is still on the wire toward `peer`.
   sim::Task<void> flush_channel_to(int peer);
 
@@ -226,6 +225,29 @@ class RankCtx {
     std::deque<OutItem> q;
     bool pump_running = false;
   };
+  /// Rendezvous transfers in progress, keyed by transfer id. A rank has
+  /// only a handful outstanding at once, so a flat table with linear
+  /// lookup and swap-remove beats hashing.
+  class TransferTable {
+   public:
+    void put(std::uint64_t id, Request req) {
+      slots_.emplace_back(id, std::move(req));
+    }
+    /// Removes and returns the request for `id`, or nullptr if absent.
+    Request take(std::uint64_t id) {
+      for (auto& s : slots_) {
+        if (s.first != id) continue;
+        Request req = std::move(s.second);
+        if (&s != &slots_.back()) s = std::move(slots_.back());
+        slots_.pop_back();
+        return req;
+      }
+      return nullptr;
+    }
+
+   private:
+    std::vector<std::pair<std::uint64_t, Request>> slots_;
+  };
 
   void push_out(int dst, OutItem item);
   void account_buffered(OutItem& item);
@@ -249,10 +271,12 @@ class RankCtx {
   sim::Engine& eng_;  // this rank's home engine
   std::unique_ptr<sim::Pausable> exec_;
   Matcher matcher_;
-  std::map<int, Outbound> outbound_;
-  std::unordered_map<std::uint64_t, Request> pending_send_;  // by transfer id
-  std::unordered_map<std::uint64_t, Request> rndv_recv_;     // by transfer id
-  std::unordered_map<std::uint64_t, std::uint64_t> coll_seq_;  // per comm
+  /// Send lanes per destination world rank. Stable references: a pump
+  /// holds its lane across suspension points while other lanes are added.
+  net::PeerTable<Outbound> outbound_;
+  TransferTable pending_send_;  // our rendezvous sends awaiting FIN
+  TransferTable rndv_recv_;     // our rendezvous receives awaiting data
+  std::vector<std::uint64_t> coll_seq_;  // collective count, by comm id
   std::function<void(net::Packet)> control_handler_;
   sim::Condition any_complete_;  // wakes wait_any
   Bytes msg_buffer_cur_ = 0;
@@ -288,13 +312,16 @@ class MiniMPI {
   const Comm& world() const { return *comms_.front(); }
   /// Registers a communicator over the given world ranks. Quiescent points
   /// only (setup / collectively ordered): the registry is read lock-free
-  /// from every shard.
+  /// from every shard. Ids are registry indices, in creation order.
   const Comm& create_comm(std::vector<int> members);
   /// Splits `parent` by color: ranks with equal color (indexed by comm rank)
   /// end up in one communicator, ordered by parent comm rank.
   std::vector<const Comm*> split(const Comm& parent,
                                  const std::vector<int>& colors);
-  const Comm* find_comm(std::uint64_t id) const;
+  /// The communicator with this id, or nullptr if none (O(1)).
+  const Comm* find_comm(std::uint64_t id) const {
+    return id < comms_.size() ? comms_[id].get() : nullptr;
+  }
   /// All user-created communicators (heuristic input for group formation).
   const std::vector<std::unique_ptr<Comm>>& comms() const { return comms_; }
 
@@ -331,7 +358,6 @@ class MiniMPI {
   std::vector<std::unique_ptr<Comm>> comms_;
   CommGate* gate_ = nullptr;
   std::vector<MpiHooks*> hook_of_;
-  std::uint64_t comm_counter_ = 0;
 };
 
 }  // namespace gbc::mpi

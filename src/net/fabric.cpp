@@ -139,9 +139,7 @@ Fabric::Fabric(NetConfig cfg, sim::LpBus& bus)
       n_(bus.nranks()),
       bus_(bus),
       receivers_(n_),
-      staging_(static_cast<std::size_t>(n_)),
-      traffic_(static_cast<std::size_t>(n_) * n_, 0),
-      msgcount_(static_cast<std::size_t>(n_) * n_, 0) {
+      staging_(static_cast<std::size_t>(n_)) {
   assert(bus_.floor() <= floor_hop(cfg_) &&
          "wire flights would undercut the bus floor");
   if (!cfg_.topology.flat()) tree_.emplace(cfg_.topology, n_);
@@ -184,10 +182,13 @@ void Fabric::enqueue(Packet p, bool data_plane) {
   sim::Engine& src_eng = bus_.engine_of(src);
   ++rn.packets;
   rn.bytes += p.bytes;
+  // One lookup serves the in-flight count and the traffic row; both are
+  // sender-owned, so only src's shard writes them.
+  RankNet::Peer& peer = rn.out[dst];
+  ++peer.in_flight;
   if (data_plane) {
-    // Sender-row ownership: only src's shard writes row src.
-    traffic_[static_cast<std::size_t>(src) * n_ + dst] += p.bytes;
-    ++msgcount_[static_cast<std::size_t>(src) * n_ + dst];
+    peer.bytes += p.bytes;
+    ++peer.msgs;
   }
   // Serialize on the sender NIC.
   const double bps =
@@ -198,7 +199,6 @@ void Fabric::enqueue(Packet p, bool data_plane) {
   const sim::Time done = start + cfg_.per_message_overhead + xfer;
   rn.nic_busy = done;
   const sim::Time arrival = done + latency(src, dst);
-  ++rn.out[dst];
   const int home = bus_.shard_of(src);
   FlightRec* rec = acquire_rec(home);
   rec->pkt = std::move(p);
@@ -221,9 +221,10 @@ void Fabric::enqueue(Packet p, bool data_plane) {
   // only sender-owned state is touched — so the decrement lands at the same
   // canonical point (before the sorted deliveries at the arrival sweep) in
   // serial and sharded runs alike, without paying for an origin sequence.
-  bus_.settle_at(src, arrival, [this, src, dst] {
-    RankNet& s = *rank_net_[src];
-    if (--s.out[dst] == 0) s.out_cv.notify_all();
+  // PeerTable slots are never erased and keep their address, so the
+  // completion holds the record directly instead of looking it up again.
+  bus_.settle_at(src, arrival, [&peer, &rn] {
+    if (--peer.in_flight == 0) rn.out_cv.notify_all();
   });
 }
 
@@ -302,8 +303,8 @@ sim::Task<void> Fabric::drain_outbound(int src, int dst) {
 }
 
 std::int64_t Fabric::outbound_in_flight(int src, int dst) const {
-  const std::int64_t* n = rank_net_[src]->out.find(dst);
-  return n == nullptr ? 0 : *n;
+  const RankNet::Peer* peer = rank_net_[src]->out.find(dst);
+  return peer == nullptr ? 0 : peer->in_flight;
 }
 
 void Fabric::request_lock(int ep) {
@@ -361,31 +362,38 @@ std::size_t Fabric::flight_recs_outstanding() const noexcept {
   return total;
 }
 
+const Fabric::RankNet::Peer* Fabric::out_peer(int src, int dst) const {
+  return rank_net_[src]->out.find(dst);
+}
+
 Bytes Fabric::bytes_between(int a, int b) const {
-  return traffic_[static_cast<std::size_t>(a) * n_ + b] +
-         traffic_[static_cast<std::size_t>(b) * n_ + a];
+  const RankNet::Peer* ab = out_peer(a, b);
+  const RankNet::Peer* ba = out_peer(b, a);
+  return (ab ? ab->bytes : 0) + (ba ? ba->bytes : 0);
 }
 
 std::int64_t Fabric::messages_between(int a, int b) const {
-  return msgcount_[static_cast<std::size_t>(a) * n_ + b] +
-         msgcount_[static_cast<std::size_t>(b) * n_ + a];
+  const RankNet::Peer* ab = out_peer(a, b);
+  const RankNet::Peer* ba = out_peer(b, a);
+  return (ab ? ab->msgs : 0) + (ba ? ba->msgs : 0);
 }
 
 std::vector<std::int64_t> Fabric::traffic_matrix() const {
   std::vector<std::int64_t> m(static_cast<std::size_t>(n_) * n_, 0);
   for (int a = 0; a < n_; ++a) {
-    for (int b = a + 1; b < n_; ++b) {
-      const std::int64_t sum = bytes_between(a, b);
-      m[static_cast<std::size_t>(a) * n_ + b] = sum;
-      m[static_cast<std::size_t>(b) * n_ + a] = sum;
+    for (const auto& [b, peer] : rank_net_[a]->out) {
+      if (b == a) continue;  // the matrix has a zero diagonal
+      m[static_cast<std::size_t>(a) * n_ + b] += peer.bytes;
+      m[static_cast<std::size_t>(b) * n_ + a] += peer.bytes;
     }
   }
   return m;
 }
 
 std::vector<std::int64_t> Fabric::copy_traffic_row(int src) const {
-  const auto base = traffic_.begin() + static_cast<std::size_t>(src) * n_;
-  return std::vector<std::int64_t>(base, base + n_);
+  std::vector<std::int64_t> row(static_cast<std::size_t>(n_), 0);
+  for (const auto& [dst, peer] : rank_net_[src]->out) row[dst] = peer.bytes;
+  return row;
 }
 
 }  // namespace gbc::net

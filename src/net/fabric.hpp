@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <deque>
 #include <map>
 #include <memory>
 #include <new>
@@ -14,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/peer_table.hpp"
 #include "net/topology.hpp"
 #include "sim/condition.hpp"
 #include "sim/engine.hpp"
@@ -230,12 +230,15 @@ class ConnectionManager {
 /// ## Per-rank ownership (DESIGN.md §13)
 ///
 /// Every piece of mutable per-rank state — the NIC busy horizon, the
-/// sender-side in-flight counters, the connection mirrors, the traffic
-/// matrix rows — is owned by the rank's home shard; transmit() must run
-/// there. Flights travel as pooled FlightRecs posted straight to the
-/// destination rank's shard, where delivery goes through the LpBus settle
-/// bucket so the order among same-instant arrivals is canonical at any
-/// shard count.
+/// connection mirrors, and one record per destination holding the
+/// in-flight count and the traffic row — is owned by the rank's home
+/// shard; transmit() must run there. The per-destination records are
+/// sparse (one per peer actually addressed), so a rank's state is O(peers)
+/// and nothing grows with the square of the rank count; the dense
+/// traffic_matrix() is built only on request. Flights travel as pooled
+/// FlightRecs posted straight to the destination rank's shard, where
+/// delivery goes through the LpBus settle bucket so the order among
+/// same-instant arrivals is canonical at any shard count.
 /// Records recycle to their home shard's pool over a lock-free return
 /// stack, keeping the hot path allocation-free in sharded runs too.
 class Fabric {
@@ -321,12 +324,12 @@ class Fabric {
   Bytes bytes_between(int a, int b) const;
   std::int64_t messages_between(int a, int b) const;
   /// Data-plane traffic matrix (bytes), indexed [a*n+b], symmetrized from
-  /// the per-sender rows. Only valid at quiescent points; during a run use
-  /// copy_traffic_row() from each rank's own shard.
+  /// the sparse per-sender rows, zero diagonal. Only valid at quiescent
+  /// points; during a run use copy_traffic_row() from each rank's own shard.
   std::vector<std::int64_t> traffic_matrix() const;
-  /// Copies src's outbound traffic row (bytes to each peer). Call on src's
-  /// shard; this is the race-free gather primitive dynamic group formation
-  /// uses mid-run.
+  /// Copies src's outbound traffic row (bytes to each peer, dense over all
+  /// n ranks). Call on src's shard; this is the race-free gather primitive
+  /// dynamic group formation uses mid-run.
   std::vector<std::int64_t> copy_traffic_row(int src) const;
 
   /// Applies a connection-state mirror update at endpoint `ep` for `peer`
@@ -387,30 +390,6 @@ class Fabric {
     void operator()();
   };
 
-  /// Tiny per-peer table: a rank talks to a handful of peers, so a linear
-  /// scan beats a node-based map on the per-message hot path (mirror check
-  /// + in-flight count on every transmit). Deque storage keeps references
-  /// stable across inserts — pumps and connection waiters hold a slot
-  /// reference across suspension points while other peers get added.
-  template <typename V>
-  class PeerTable {
-   public:
-    V& operator[](int peer) {
-      for (auto& s : slots_)
-        if (s.first == peer) return s.second;
-      slots_.emplace_back(peer, V{});
-      return slots_.back().second;
-    }
-    const V* find(int peer) const {
-      for (const auto& s : slots_)
-        if (s.first == peer) return &s.second;
-      return nullptr;
-    }
-
-   private:
-    std::deque<std::pair<int, V>> slots_;
-  };
-
   /// Mutable state owned by one rank's shard.
   struct RankNet {
     explicit RankNet(sim::Engine& eng) : conn_cv(eng), out_cv(eng) {}
@@ -425,12 +404,21 @@ class Fabric {
     };
     PeerTable<Link> links;
     sim::Condition conn_cv;
-    /// Sender-side in-flight packets per destination.
-    PeerTable<std::int64_t> out;
+    /// Sender-owned record per destination: packets still on the wire
+    /// (drain watches this) and the data-plane traffic row (bytes and
+    /// messages), so per-rank state is O(peers), not O(ranks).
+    struct Peer {
+      std::int64_t in_flight = 0;
+      Bytes bytes = 0;
+      std::int64_t msgs = 0;
+    };
+    PeerTable<Peer> out;
     sim::Condition out_cv;
   };
 
   void enqueue(Packet p, bool data_plane);
+  /// src's record for dst, or nullptr if src never transmitted to dst.
+  const RankNet::Peer* out_peer(int src, int dst) const;
   void deliver(Packet p);
   FlightRec* acquire_rec(int shard);
   void recycle_local(FlightRec* rec, int caller_shard);
@@ -458,10 +446,6 @@ class Fabric {
     Bytes bytes = 0;
   };
   std::vector<StagingLane> staging_;
-  // Data-plane accounting, sender-row ownership: row src is written only by
-  // src's shard.
-  std::vector<std::int64_t> traffic_;   // bytes, [src*n+dst]
-  std::vector<std::int64_t> msgcount_;  // messages, [src*n+dst]
 };
 
 }  // namespace gbc::net

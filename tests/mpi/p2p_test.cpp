@@ -216,6 +216,51 @@ TEST(P2P, IsendIrecvWaitAll) {
   EXPECT_EQ(completed, 4);
 }
 
+TEST(P2P, ManyOutstandingRendezvousCompleteOutOfOrder) {
+  // Rank 0 keeps every rendezvous to two peers open at once; the peers
+  // match them in reverse tag order, so CTS, data and FIN all come back in
+  // an order unrelated to issue order and the transfer tables remove from
+  // the middle. A lookup miss would trip the RDMA/FIN asserts.
+  constexpr int kPerPeer = 5;
+  MpiWorld w(3);
+  const auto size_of = [](int peer, Tag tag) {
+    return mib(1) + static_cast<Bytes>(peer * 100 + tag) * 1024;
+  };
+  std::vector<Request> sends;
+  std::vector<Request> recvs[3];
+  w.run_all([&](RankCtx& r) -> sim::Task<void> {
+    const Comm& wc = w.mpi.world();
+    const int me = r.world_rank();
+    if (me == 0) {
+      for (Tag t = 0; t < kPerPeer; ++t) {
+        for (int peer = 1; peer <= 2; ++peer) {
+          sends.push_back(r.isend(wc, peer, t, size_of(peer, t)));
+        }
+      }
+      co_await r.wait_all(sends);
+    } else {
+      // Let every RTS land unexpected before the receives are posted.
+      co_await r.compute(sim::from_milliseconds(5));
+      for (Tag t = kPerPeer - 1; t >= 0; --t) {
+        recvs[me].push_back(r.irecv(wc, 0, t));
+      }
+      co_await r.wait_all(recvs[me]);
+    }
+  });
+  ASSERT_EQ(sends.size(), 2u * kPerPeer);
+  for (const Request& rq : sends) EXPECT_TRUE(rq->done);
+  for (int peer = 1; peer <= 2; ++peer) {
+    ASSERT_EQ(recvs[peer].size(), static_cast<std::size_t>(kPerPeer));
+    for (int i = 0; i < kPerPeer; ++i) {
+      const Request& rq = recvs[peer][i];
+      const Tag tag = kPerPeer - 1 - i;
+      EXPECT_TRUE(rq->done);
+      EXPECT_EQ(rq->info.tag, tag);
+      EXPECT_EQ(rq->info.bytes, size_of(peer, tag)) << peer << "/" << tag;
+    }
+  }
+}
+
 TEST(P2P, TestReflectsCompletionState) {
   MpiWorld w(2);
   bool before = true, after = false;

@@ -256,6 +256,69 @@ TEST(Fabric, TrafficMatrixIsSymmetricAndCountsDataPlaneOnly) {
   EXPECT_EQ(w.fabric.bytes_between(0, 2), 0);  // control not counted
 }
 
+TEST(Fabric, TrafficRowsAreSparsePerSender) {
+  constexpr int kRanks = 6;
+  World w(kRanks);
+  for (int r = 0; r < kRanks; ++r) w.fabric.set_receiver(r, [](Packet) {});
+  w.eng.spawn([](World& w) -> Task<void> {
+    for (int r = 0; r < kRanks; ++r) {
+      const int right = (r + 1) % kRanks;
+      co_await connect(w.fabric, r, right);
+      // Distinct sizes per sender, so a row mixed up with another shows.
+      w.fabric.transmit(Packet{r, right, 100 * (r + 1), PacketKind::kEager,
+                               static_cast<std::uint64_t>(r), nullptr});
+      // Control traffic to a non-neighbour must not enter any row.
+      w.fabric.transmit_control(Packet{r, (r + 3) % kRanks, 64,
+                                       PacketKind::kControl, 0, nullptr});
+    }
+  }(w));
+  w.eng.run();
+
+  for (int r = 0; r < kRanks; ++r) {
+    const auto row = w.fabric.copy_traffic_row(r);
+    ASSERT_EQ(row.size(), static_cast<std::size_t>(kRanks));
+    for (int d = 0; d < kRanks; ++d) {
+      EXPECT_EQ(row[d], d == (r + 1) % kRanks ? 100 * (r + 1) : 0)
+          << r << "->" << d;
+    }
+  }
+  const auto m = w.fabric.traffic_matrix();
+  ASSERT_EQ(m.size(), static_cast<std::size_t>(kRanks) * kRanks);
+  for (int a = 0; a < kRanks; ++a) {
+    EXPECT_EQ(m[a * kRanks + a], 0) << a;
+    for (int b = 0; b < kRanks; ++b) {
+      if (a == b) continue;
+      EXPECT_EQ(m[a * kRanks + b], w.fabric.bytes_between(a, b))
+          << a << "-" << b;
+    }
+    EXPECT_EQ(m[a * kRanks + (a + 3) % kRanks], 0) << "control " << a;
+  }
+  // Each ring pair (r, r+1) carries only r's packet: r+1 sends onward.
+  EXPECT_EQ(w.fabric.bytes_between(2, 3), 300);
+  EXPECT_EQ(w.fabric.messages_between(2, 3), 1);
+  EXPECT_EQ(w.fabric.messages_between(0, 3), 0);
+}
+
+TEST(Fabric, ConstructsAt16kRanksWithoutQuadraticState) {
+  // A dense n×n traffic matrix would be 2 GiB per array here; the sparse
+  // per-sender rows cost nothing until a rank transmits.
+  constexpr int kRanks = 16384;
+  World w(kRanks);
+  Bytes got = 0;
+  w.fabric.set_receiver(kRanks - 1, [&](Packet p) { got = p.bytes; });
+  w.eng.spawn([](World& w) -> Task<void> {
+    co_await connect(w.fabric, 0, kRanks - 1);
+    w.fabric.transmit(
+        Packet{0, kRanks - 1, 4096, PacketKind::kEager, 0, nullptr});
+  }(w));
+  w.eng.run();
+  EXPECT_EQ(got, 4096);
+  EXPECT_EQ(w.fabric.bytes_between(kRanks - 1, 0), 4096);
+  EXPECT_EQ(w.fabric.messages_between(0, kRanks - 1), 1);
+  EXPECT_EQ(w.fabric.copy_traffic_row(0)[kRanks - 1], 4096);
+  EXPECT_EQ(w.fabric.outbound_in_flight(0, kRanks - 1), 0);
+}
+
 TEST(Fabric, PayloadBodyTravelsIntact) {
   World w(2);
   WireBody received;
