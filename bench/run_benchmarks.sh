@@ -62,13 +62,11 @@ run_suite() {
   GBC_BENCH_OUT="$tmp/csv" "$BUILD/bench/ablation_erasure"
 
   echo "== sharded-DES scaling =="
-  # Throughput at 1/2/4/8 shards on a fixed 1k-rank fat-tree config; one JSONL
-  # record per shard count (events/s, window count, balance).
+  # The full protocol stack at 1/2/4/8 shards on a fixed 1k-rank fat-tree
+  # config; one JSONL record per shard count (events/s, windows, rounds,
+  # balance, per-LP delivery split, shard-0 and service-LP shares;
+  # DESIGN.md §13/§15).
   GBC_BENCH_OUT="$tmp/csv" "$BUILD/bench/shard_scaling"
-  # Full protocol stack under per-rank LP sharding: per-LP delivery split,
-  # shard-0 event share, and the root service LP's delivery share
-  # (service_shard0_share) at 1/2/4 shards (DESIGN.md §13/§15).
-  GBC_BENCH_OUT="$tmp/csv" "$BUILD/bench/shard_scaling" --fullstack
   # Group-size curve at 1k/4k ranks (the 16k point is left to manual runs so
   # the snapshot stays quick to regenerate).
   GBC_BENCH_OUT="$tmp/csv" "$BUILD/bench/scale_groupsize" --ranks 1024

@@ -1,16 +1,14 @@
-// Shard-scaling microbenchmark: one fixed scale-model configuration run at
-// 1, 2, 4 and 8 shards. Reports host events/s per shard count plus the
-// events-per-window balance — on a many-core host the wall time drops with
-// shards; on a constrained CI box (where the thread budget degrades every
-// run to one worker) the balance statistics still validate that the
-// partition would parallelize. State hashes are printed so a scaling run
-// doubles as a determinism check: every row must agree.
-//
-// --fullstack switches to the real protocol stack (the `gbcsim run`
-// configuration: MiniMPI + Fabric + a group-based checkpoint): each row
-// additionally reports the per-shard processed-event split and shard 0's
-// share — the number the per-rank LP partition (DESIGN.md §13) is supposed
-// to drive from ~100% down to the service traffic.
+// Shard-scaling benchmark: one fixed full-stack configuration (the `gbcsim
+// run` stack: MiniMPI + Fabric + two group-based checkpoints) run at 1, 2,
+// 4 and 8 shards. Each row reports host events/s, the engine's windows,
+// rounds, cross-shard events and window balance, the per-shard event split
+// with shard 0's share, and the root service LP's share of bus deliveries —
+// the number the per-rank LP partition (DESIGN.md §13) drives down to the
+// service traffic. On a many-core host the wall time drops with shards; on
+// a constrained box (where the thread budget degrades every run to one
+// worker) the balance statistics still show whether the partition would
+// parallelize. State hashes are printed so a scaling run doubles as a
+// determinism check: every row must agree.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -20,8 +18,6 @@
 
 #include "bench_util.hpp"
 #include "harness/cli.hpp"
-#include "harness/experiment.hpp"
-#include "harness/scale_model.hpp"
 #include "harness/sim_cluster.hpp"
 #include "net/topology.hpp"
 #include "workloads/microbench.hpp"
@@ -30,42 +26,18 @@ namespace {
 
 using namespace gbc;
 
-void append_record(const std::string& name, int ranks, int shards,
-                   int threads, double wall,
-                   const gbc::harness::ScaleResult& r) {
-  const char* json = std::getenv("GBC_BENCH_JSON");
-  if (!json || !*json) return;
-  std::FILE* f = std::fopen(json, "a");
-  if (!f) return;
-  const char* sha = std::getenv("GBC_GIT_SHA");
-  const double ev = static_cast<double>(r.events);
-  std::fprintf(f,
-               "{\"sweep\":\"%s\",\"git_sha\":\"%s\",\"ranks\":%d,"
-               "\"shards\":%d,\"threads\":%d,\"points\":1,"
-               "\"wall_seconds\":%.6f,\"events\":%lld,"
-               "\"events_per_second\":%.0f,\"windows\":%lld,"
-               "\"rounds\":%lld,\"windows_per_event\":%.6f,"
-               "\"cross_events\":%lld,\"cross_ratio\":%.6f,"
-               "\"window_balance\":%.4f}\n",
-               name.c_str(), sha && *sha ? sha : "unknown", ranks, shards,
-               threads, wall, static_cast<long long>(r.events),
-               wall > 0 ? ev / wall : 0.0, static_cast<long long>(r.windows),
-               static_cast<long long>(r.rounds),
-               ev > 0 ? static_cast<double>(r.windows) / ev : 0.0,
-               static_cast<long long>(r.cross_events),
-               ev > 0 ? static_cast<double>(r.cross_events) / ev : 0.0,
-               r.window_balance);
-  std::fclose(f);
-}
-
-// One full-stack run at a given shard/thread split. Mirrors
-// harness::run_experiment but keeps the cluster in scope so the per-shard
-// event counters survive the run.
-struct FullstackRow {
+// One full-stack run at a given shard count. Mirrors harness::run_experiment
+// but keeps the cluster in scope so the engine and bus counters survive the
+// run.
+struct Row {
   int threads_used = 1;
   double wall = 0;
   sim::Time completion = 0;
   std::uint64_t events = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t rounds = 0;
+  std::uint64_t cross_events = 0;
+  double window_balance = 1.0;
   std::vector<std::uint64_t> shard_events;
   double shard0_share = 0;
   // Per-LP delivery split from the bus (rank LPs 0..n-1, then the root
@@ -77,12 +49,13 @@ struct FullstackRow {
   std::uint64_t hash = 0;
 };
 
-FullstackRow run_fullstack(int nranks, int shards, int threads,
-                           std::uint64_t iterations) {
+Row run_at(int nranks, const net::TopologySpec& topo, int shards,
+           std::uint64_t iterations) {
   harness::ClusterPreset p = harness::icpp07_cluster();
   p.nranks = nranks;
   p.shards = shards;
-  p.threads = threads;
+  p.threads = 0;  // lease from the shared budget
+  p.net.topology = topo;
 
   ckpt::CkptConfig cc;
   cc.group_size = std::max(1, nranks / 4);
@@ -115,15 +88,20 @@ FullstackRow run_fullstack(int nranks, int shards, int threads,
   });
   cluster.run();
 
-  FullstackRow row;
+  Row row;
   row.wall = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            start)
                  .count();
-  row.threads_used = cluster.sharded().threads();
+  const sim::ShardedEngine& se = cluster.sharded();
+  row.threads_used = se.threads();
   row.completion = *std::max_element(done.begin(), done.end());
-  row.events = cluster.sharded().total_events();
+  row.events = se.total_events();
+  row.windows = se.windows();
+  row.rounds = se.rounds();
+  row.cross_events = se.cross_events();
+  row.window_balance = se.window_balance();
   for (int s = 0; s < shards; ++s) {
-    row.shard_events.push_back(cluster.sharded().stats(s).events);
+    row.shard_events.push_back(se.stats(s).events);
   }
   row.shard0_share =
       row.events > 0
@@ -148,7 +126,8 @@ FullstackRow run_fullstack(int nranks, int shards, int threads,
   return row;
 }
 
-void append_fullstack_record(int ranks, int shards, const FullstackRow& r) {
+void append_record(int ranks, const std::string& topo, int shards,
+                   const Row& r) {
   const char* json = std::getenv("GBC_BENCH_JSON");
   if (!json || !*json) return;
   std::FILE* f = std::fopen(json, "a");
@@ -156,18 +135,30 @@ void append_fullstack_record(int ranks, int shards, const FullstackRow& r) {
   const char* sha = std::getenv("GBC_GIT_SHA");
   const double ev = static_cast<double>(r.events);
   std::fprintf(f,
-               "{\"sweep\":\"shard_scaling_fullstack/%d\",\"git_sha\":\"%s\","
-               "\"mode\":\"fullstack\",\"ranks\":%d,\"shards\":%d,"
-               "\"threads\":%d,\"points\":1,\"wall_seconds\":%.6f,"
+               "{\"sweep\":\"shard_scaling/%d\",\"git_sha\":\"%s\","
+               "\"mode\":\"fullstack\",\"topology\":\"%s\",\"ranks\":%d,"
+               "\"shards\":%d,\"threads\":%d,\"points\":1,"
+               "\"wall_seconds\":%.6f,\"completion_seconds\":%.6f,"
                "\"events\":%llu,\"events_per_second\":%.0f,"
-               "\"shard0_events\":%llu,\"shard0_share\":%.4f,"
-               "\"service_shard0_share\":%.4f,"
-               "\"shard_events\":[",
-               shards, sha && *sha ? sha : "unknown", ranks, shards,
-               r.threads_used, r.wall, static_cast<unsigned long long>(r.events),
+               "\"windows\":%llu,\"rounds\":%llu,\"windows_per_event\":%.6f,"
+               "\"cross_events\":%llu,\"cross_ratio\":%.6f,"
+               "\"window_balance\":%.4f,\"shard0_events\":%llu,"
+               "\"shard0_share\":%.4f,\"service_shard0_share\":%.4f,"
+               "\"state_hash\":\"%016llx\",\"shard_events\":[",
+               shards, sha && *sha ? sha : "unknown", topo.c_str(), ranks,
+               shards, r.threads_used, r.wall,
+               sim::to_seconds(r.completion),
+               static_cast<unsigned long long>(r.events),
                r.wall > 0 ? ev / r.wall : 0.0,
+               static_cast<unsigned long long>(r.windows),
+               static_cast<unsigned long long>(r.rounds),
+               ev > 0 ? static_cast<double>(r.windows) / ev : 0.0,
+               static_cast<unsigned long long>(r.cross_events),
+               ev > 0 ? static_cast<double>(r.cross_events) / ev : 0.0,
+               r.window_balance,
                static_cast<unsigned long long>(r.shard_events[0]),
-               r.shard0_share, r.service_shard0_share);
+               r.shard0_share, r.service_shard0_share,
+               static_cast<unsigned long long>(r.hash));
   for (std::size_t s = 0; s < r.shard_events.size(); ++s) {
     std::fprintf(f, "%s%llu", s ? "," : "",
                  static_cast<unsigned long long>(r.shard_events[s]));
@@ -184,71 +175,13 @@ void append_fullstack_record(int ranks, int shards, const FullstackRow& r) {
   std::fclose(f);
 }
 
-int run_fullstack_sweep(int ranks, std::uint64_t iterations) {
-  bench::banner("shard scaling, full protocol stack (events/s vs DES shards)",
-                "per-rank LP sharding, DESIGN.md 13");
-  harness::Table t({"shards", "threads", "wall_s", "completion_s", "events",
-                    "kev_per_s", "shard0_share", "svc_share", "hash"});
-  std::FILE* csv =
-      std::fopen(bench::csv_path("shard_scaling_fullstack").c_str(), "w");
-  if (csv) {
-    std::fprintf(csv,
-                 "shards,threads,wall_seconds,completion_seconds,events,"
-                 "events_per_second,shard0_events,shard0_share,"
-                 "service_shard0_share,hash\n");
-  }
-  std::uint64_t first_hash = 0;
-  bool hashes_agree = true;
-  for (int shards : {1, 2, 4}) {
-    if (shards > ranks) continue;
-    const FullstackRow r = run_fullstack(ranks, shards, /*threads=*/0,
-                                         iterations);
-    if (shards == 1) first_hash = r.hash;
-    hashes_agree = hashes_agree && r.hash == first_hash;
-    char hash[32];
-    std::snprintf(hash, sizeof hash, "%016llx",
-                  static_cast<unsigned long long>(r.hash));
-    t.add_row({std::to_string(shards), std::to_string(r.threads_used),
-               harness::Table::num(r.wall),
-               harness::Table::num(sim::to_seconds(r.completion)),
-               std::to_string(r.events),
-               harness::Table::num(static_cast<double>(r.events) / r.wall /
-                                   1e3),
-               harness::Table::num(r.shard0_share),
-               harness::Table::num(r.service_shard0_share), hash});
-    if (csv) {
-      std::fprintf(csv, "%d,%d,%.6f,%.6f,%llu,%.0f,%llu,%.4f,%.4f,%016llx\n",
-                   shards, r.threads_used, r.wall,
-                   sim::to_seconds(r.completion),
-                   static_cast<unsigned long long>(r.events),
-                   r.wall > 0 ? static_cast<double>(r.events) / r.wall : 0.0,
-                   static_cast<unsigned long long>(r.shard_events[0]),
-                   r.shard0_share, r.service_shard0_share,
-                   static_cast<unsigned long long>(r.hash));
-    }
-    append_fullstack_record(ranks, shards, r);
-  }
-  if (csv) std::fclose(csv);
-  t.print();
-  std::printf("\nstate hashes %s across shard counts\n",
-              hashes_agree ? "IDENTICAL" : "DIVERGED");
-  return hashes_agree ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   harness::FlagSet flags("shard_scaling");
-  flags.add_int("ranks", 0,
-                "simulated MPI processes (0 = 1024 scale model, 32 fullstack)");
-  flags.add_int("iterations", 0,
-                "compute iterations per rank (0 = 30 scale model, "
-                "240 fullstack)");
-  flags.add_string("topology", "fat-tree:32:2",
-                   "flat | fat-tree:<radix>:<oversub>");
-  flags.add_bool("fullstack", false,
-                 "run the real protocol stack (gbcsim run config) instead of "
-                 "the scale model; reports the per-shard event split");
+  flags.add_int("ranks", 1024, "simulated MPI processes");
+  flags.add_int("iterations", 240, "compute iterations per rank");
+  flags.add_string("topology", "fat-tree:32", "flat | fat-tree:<radix>");
   if (!flags.parse(argc - 1, argv + 1)) {
     if (flags.help_requested()) {
       std::fputs(flags.usage().c_str(), stdout);
@@ -260,75 +193,70 @@ int main(int argc, char** argv) {
   }
   const auto topo = net::parse_topology(flags.get_string("topology"));
   if (!topo) {
-    std::fprintf(stderr, "invalid --topology '%s'\n",
+    std::fprintf(stderr, "invalid --topology '%s': expected flat or "
+                 "fat-tree:<radix> with radix >= 2\n",
                  flags.get_string("topology").c_str());
     return 2;
   }
-
-  if (flags.get_bool("fullstack")) {
-    // The real stack simulates far fewer ranks than the scale model.
-    const int ranks = flags.get_int("ranks") > 0 ? flags.get_int("ranks") : 32;
-    const int iters =
-        flags.get_int("iterations") > 0 ? flags.get_int("iterations") : 240;
-    return run_fullstack_sweep(ranks, static_cast<std::uint64_t>(iters));
+  const int ranks = flags.get_int("ranks");
+  const int iterations = flags.get_int("iterations");
+  if (ranks < 2 || iterations < 1) {
+    std::fprintf(stderr, "--ranks must be >= 2 and --iterations >= 1\n");
+    return 2;
   }
+  const std::string topo_name = net::topology_to_string(*topo);
 
-  bench::banner("shard scaling (events/s vs DES shards)",
-                "the scaling methodology of Sec. 5");
-
-  harness::ScaleConfig cfg;
-  cfg.nranks = flags.get_int("ranks") > 0 ? flags.get_int("ranks") : 1024;
-  cfg.iterations =
-      flags.get_int("iterations") > 0 ? flags.get_int("iterations") : 30;
-  cfg.net.topology = *topo;
-  cfg.footprint_mib = 8.0;
-  cfg.chunk_mib = 4.0;
-  cfg.ckpt_group = cfg.nranks / 4;
-  cfg.pfs_servers = std::max(4, cfg.nranks / 64);
-  cfg.issuance = sim::from_milliseconds(300);
+  bench::banner("shard scaling, full protocol stack (events/s vs DES shards)",
+                "per-rank LP sharding, DESIGN.md 13");
+  std::printf("%d ranks on %s, %d iterations\n\n", ranks, topo_name.c_str(),
+              iterations);
 
   harness::Table t({"shards", "threads", "wall_s", "events", "Mev_per_s",
-                    "windows", "rounds", "cross", "balance", "state_hash"});
+                    "windows", "rounds", "cross", "balance", "shard0_share",
+                    "svc_share", "state_hash"});
   std::FILE* csv = std::fopen(bench::csv_path("shard_scaling").c_str(), "w");
   if (csv) {
     std::fprintf(csv,
-                 "shards,threads,wall_seconds,events,events_per_second,"
-                 "windows,rounds,cross_events,window_balance,state_hash\n");
+                 "shards,threads,wall_seconds,completion_seconds,events,"
+                 "events_per_second,windows,rounds,cross_events,"
+                 "window_balance,shard0_events,shard0_share,"
+                 "service_shard0_share,state_hash\n");
   }
   std::uint64_t first_hash = 0;
   bool hashes_agree = true;
   for (int shards : {1, 2, 4, 8}) {
-    cfg.shards = shards;
-    cfg.threads = 0;  // lease from the shared budget
-    const auto start = std::chrono::steady_clock::now();
-    const auto r = harness::run_scale_model(cfg);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (shards == 1) first_hash = r.state_hash;
-    hashes_agree = hashes_agree && r.state_hash == first_hash;
+    if (shards > ranks) continue;
+    const Row r = run_at(ranks, *topo, shards,
+                         static_cast<std::uint64_t>(iterations));
+    if (shards == 1) first_hash = r.hash;
+    hashes_agree = hashes_agree && r.hash == first_hash;
     char hash[32];
     std::snprintf(hash, sizeof hash, "%016llx",
-                  static_cast<unsigned long long>(r.state_hash));
+                  static_cast<unsigned long long>(r.hash));
+    const double eps = r.wall > 0 ? static_cast<double>(r.events) / r.wall : 0;
     t.add_row({std::to_string(shards), std::to_string(r.threads_used),
-               harness::Table::num(wall), std::to_string(r.events),
-               harness::Table::num(static_cast<double>(r.events) / wall / 1e6),
-               std::to_string(r.windows), std::to_string(r.rounds),
-               std::to_string(r.cross_events),
-               harness::Table::num(r.window_balance), hash});
+               harness::Table::num(r.wall), std::to_string(r.events),
+               harness::Table::num(eps / 1e6), std::to_string(r.windows),
+               std::to_string(r.rounds), std::to_string(r.cross_events),
+               harness::Table::num(r.window_balance),
+               harness::Table::num(r.shard0_share),
+               harness::Table::num(r.service_shard0_share), hash});
     if (csv) {
-      std::fprintf(csv, "%d,%d,%.6f,%llu,%.0f,%llu,%llu,%llu,%.4f,%016llx\n",
-                   shards, r.threads_used, wall,
-                   static_cast<unsigned long long>(r.events),
-                   wall > 0 ? static_cast<double>(r.events) / wall : 0.0,
+      std::fprintf(csv,
+                   "%d,%d,%.6f,%.6f,%llu,%.0f,%llu,%llu,%llu,%.4f,%llu,%.4f,"
+                   "%.4f,%016llx\n",
+                   shards, r.threads_used, r.wall,
+                   sim::to_seconds(r.completion),
+                   static_cast<unsigned long long>(r.events), eps,
                    static_cast<unsigned long long>(r.windows),
                    static_cast<unsigned long long>(r.rounds),
                    static_cast<unsigned long long>(r.cross_events),
                    r.window_balance,
-                   static_cast<unsigned long long>(r.state_hash));
+                   static_cast<unsigned long long>(r.shard_events[0]),
+                   r.shard0_share, r.service_shard0_share,
+                   static_cast<unsigned long long>(r.hash));
     }
-    append_record("shard_scaling/" + std::to_string(shards), cfg.nranks,
-                  shards, r.threads_used, wall, r);
+    append_record(ranks, topo_name, shards, r);
   }
   if (csv) std::fclose(csv);
   t.print();

@@ -20,7 +20,9 @@ struct ClusterPreset {
   /// in net.topology.
   int shards = 1;
   /// Worker threads driving the shards, clamped to [1, shards]; 1 runs all
-  /// shards inline (identical results at any thread count).
+  /// shards inline (identical results at any thread count). 0 leases
+  /// min(shards, what is free) from harness::ThreadBudget for the
+  /// cluster's lifetime.
   int threads = 1;
   storage::StorageConfig storage;
   /// Node-local staging tier (disabled by default: single-tier PFS model).

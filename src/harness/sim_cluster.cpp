@@ -5,15 +5,15 @@
 
 namespace gbc::harness {
 
-sim::ShardedEngine::Options SimCluster::engine_options(
-    const ClusterPreset& p) {
+sim::ShardedEngine::Options SimCluster::engine_options(const ClusterPreset& p,
+                                                       int leased) {
   if (p.shards < 1 || p.shards > p.nranks) {
     throw std::invalid_argument(
         "SimCluster: preset.shards must be in [1, nranks]");
   }
   sim::ShardedEngine::Options o;
   o.shards = p.shards;
-  o.threads = p.threads;
+  o.threads = p.threads == 0 ? leased : p.threads;
   if (p.shards == 1) return o;
   // Uniform conservative horizon: every cross-LP message (wire flight,
   // control hop, RPC leg) respects the bus floor, whichever shards its
@@ -46,7 +46,8 @@ SimCluster::SimCluster(const ClusterPreset& preset,
                        const ckpt::CkptConfig& ckpt_cfg,
                        const SimClusterOptions& opts)
     : preset_(preset),
-      sharded_(engine_options(preset)),
+      lease_(preset.threads == 0 ? preset.shards : 0),
+      sharded_(engine_options(preset, lease_.granted())),
       eng_(sharded_.shard(0)),
       bus_(sharded_, preset_.nranks, net::Fabric::floor_hop(preset.net)),
       fabric_(preset_.net, bus_),

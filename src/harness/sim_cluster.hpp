@@ -4,6 +4,7 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "harness/preset.hpp"
+#include "harness/thread_budget.hpp"
 #include "mpi/minimpi.hpp"
 #include "net/fabric.hpp"
 #include "sim/engine.hpp"
@@ -112,7 +113,9 @@ class SimCluster {
   }
 
  private:
-  static sim::ShardedEngine::Options engine_options(const ClusterPreset& p);
+  /// `leased` is the budget grant standing in for `p.threads == 0`.
+  static sim::ShardedEngine::Options engine_options(const ClusterPreset& p,
+                                                    int leased);
   /// The store's tier knobs: the preset's, enabled only when attached.
   /// Rejects incremental snapshots on an enabled tier.
   static storage::TierConfig tier_config(const ClusterPreset& p,
@@ -122,6 +125,7 @@ class SimCluster {
   sim::Task<void> rank_main(sim::Task<void> body, int rank);
 
   ClusterPreset preset_;
+  ThreadLease lease_;  // held only when preset.threads == 0
   sim::ShardedEngine sharded_;
   sim::Engine& eng_;  // = sharded_.shard(0), the service LP's engine
   sim::LpBus bus_;

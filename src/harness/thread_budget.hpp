@@ -44,4 +44,22 @@ class ThreadBudget {
   int peak_ = 0;
 };
 
+/// A grant from the shared budget held for a scope: acquires up to `want`
+/// threads on construction (nothing when want is 0) and releases them on
+/// destruction.
+class ThreadLease {
+ public:
+  explicit ThreadLease(int want)
+      : granted_(want > 0 ? ThreadBudget::shared().acquire(want) : 0) {}
+  ~ThreadLease() { ThreadBudget::shared().release(granted_); }
+  ThreadLease(const ThreadLease&) = delete;
+  ThreadLease& operator=(const ThreadLease&) = delete;
+
+  /// Width granted: 0 when nothing was asked for, else in [1, want].
+  int granted() const noexcept { return granted_; }
+
+ private:
+  int granted_;
+};
+
 }  // namespace gbc::harness

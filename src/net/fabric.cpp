@@ -14,6 +14,7 @@ ConnectionManager::ConnectionManager(sim::Engine& eng, Fabric& fabric, int n,
       fab_(fabric),
       cfg_(cfg),
       n_(n),
+      peers_(static_cast<std::size_t>(n)),
       locked_(n, false),
       unlock_cv_(eng) {}
 
@@ -32,6 +33,19 @@ ConnState ConnectionManager::state(int a, int b) const {
 }
 
 void ConnectionManager::set_state(Conn& c, int a, int b, ConnState s) {
+  const bool was = c.state == ConnState::kConnected;
+  const bool is = s == ConnState::kConnected;
+  if (was != is) {
+    for (auto [ep, peer] : {std::pair{a, b}, std::pair{b, a}}) {
+      std::vector<int>& row = peers_[ep];
+      const auto it = std::lower_bound(row.begin(), row.end(), peer);
+      if (is) {
+        row.insert(it, peer);
+      } else {
+        row.erase(it);
+      }
+    }
+  }
   c.state = s;
   c.cv.notify_all();
   // Mirror the transition to both endpoints' shards: the rank-side send
@@ -109,17 +123,6 @@ void ConnectionManager::unlock_endpoint(int ep) {
   unlock_cv_.notify_all();
 }
 
-std::vector<int> ConnectionManager::connected_peers(int ep) const {
-  std::vector<int> peers;
-  for (const auto& [k, c] : conns_) {
-    if (c.state != ConnState::kConnected) continue;
-    if (k.first == ep) peers.push_back(k.second);
-    if (k.second == ep) peers.push_back(k.first);
-  }
-  std::sort(peers.begin(), peers.end());
-  return peers;
-}
-
 int ConnectionManager::established_count() const {
   int n = 0;
   for (const auto& [k, c] : conns_) {
@@ -142,7 +145,6 @@ Fabric::Fabric(NetConfig cfg, sim::LpBus& bus)
       staging_(static_cast<std::size_t>(n_)) {
   assert(bus_.floor() <= floor_hop(cfg_) &&
          "wire flights would undercut the bus floor");
-  if (!cfg_.topology.flat()) tree_.emplace(cfg_.topology, n_);
   rank_net_.reserve(n_);
   for (int r = 0; r < n_; ++r) {
     rank_net_.push_back(std::make_unique<RankNet>(bus_.engine_of(r)));
@@ -161,11 +163,6 @@ Fabric::~Fabric() {
   // destroyed, so every in-flight record has been pushed onto its return
   // stack by now. Sweep them home so the pools' liveness assert holds.
   for (int s = 0; s < bus_.shards(); ++s) reclaim(s);
-}
-
-sim::Time Fabric::latency(int src, int dst) const {
-  if (!tree_ || src == dst) return cfg_.wire_latency;
-  return cfg_.wire_latency * tree_->hops(src, dst);
 }
 
 void Fabric::transmit(Packet p) { enqueue(std::move(p), /*data_plane=*/true); }

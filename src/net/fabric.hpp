@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <new>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -41,9 +40,8 @@ struct NetConfig {
   sim::Time qp_transition = sim::from_microseconds(200);  ///< RESET→RTS etc.
   sim::Time teardown_cost = sim::from_microseconds(300);
   /// Interconnect shape. The flat default reproduces the paper-scale
-  /// crossbar exactly; `fat-tree:<radix>:<oversub>` makes end-to-end
-  /// latency hop-counted (wire_latency per switch hop) and is what the
-  /// sharded scale model contends per switch port on.
+  /// crossbar exactly; `fat-tree:<radix>` makes end-to-end latency
+  /// hop-counted (wire_latency per switch hop).
   TopologySpec topology;
 };
 
@@ -187,8 +185,10 @@ class ConnectionManager {
   void unlock_endpoint(int ep);
   bool endpoint_locked(int ep) const { return locked_[ep]; }
 
-  /// Every currently-connected peer of `ep`, ascending.
-  std::vector<int> connected_peers(int ep) const;
+  /// Every currently-connected peer of `ep`, ascending. O(degree): a copy
+  /// of the endpoint's row, so callers may churn connections while they
+  /// walk it.
+  std::vector<int> connected_peers(int ep) const { return peers_[ep]; }
 
   // --- accounting ---
   std::int64_t total_setups() const noexcept { return setups_; }
@@ -207,7 +207,7 @@ class ConnectionManager {
   }
   Conn& conn(int a, int b);
   const Conn* find(int a, int b) const;
-  /// Transition + mirror fan-out to both endpoints.
+  /// Transition + mirror fan-out to both endpoints; keeps peers_ in step.
   void set_state(Conn& c, int a, int b, ConnState s);
 
   sim::Engine& eng_;
@@ -215,6 +215,8 @@ class ConnectionManager {
   NetConfig cfg_;
   int n_;
   std::map<Key, Conn> conns_;
+  /// Per endpoint, the ascending peers it is kConnected to.
+  std::vector<std::vector<int>> peers_;
   std::vector<bool> locked_;
   sim::Condition unlock_cv_;
   std::int64_t setups_ = 0;
@@ -259,15 +261,17 @@ class Fabric {
 
   /// End-to-end propagation delay src -> dst: wire_latency on a crossbar,
   /// wire_latency per switch hop on a fat-tree.
-  sim::Time latency(int src, int dst) const;
+  sim::Time latency(int src, int dst) const {
+    return cfg_.wire_latency * cfg_.topology.hops(src, dst);
+  }
 
-  /// The lookahead-matrix floor every cross-LP message respects: NIC
-  /// overhead plus the lower bound of latency() over all distinct pairs.
-  /// No cross-endpoint interaction can take effect sooner, so this is the
-  /// LpBus floor and the conservative lookahead of a sharded run.
+  /// The floor every cross-LP message respects: NIC overhead plus the
+  /// lower bound of latency() over all distinct pairs. No cross-endpoint
+  /// interaction can take effect sooner, so this is the LpBus floor and the
+  /// conservative lookahead of a sharded run.
   static sim::Time floor_hop(const NetConfig& cfg) {
     return cfg.per_message_overhead +
-           cfg.wire_latency * std::max(1, cfg.topology.min_hops());
+           cfg.wire_latency * cfg.topology.min_hops();
   }
 
   void set_receiver(int ep, Deliver d) { receivers_[ep] = std::move(d); }
@@ -428,7 +432,6 @@ class Fabric {
   sim::Engine& eng_;
   NetConfig cfg_;
   int n_;
-  std::optional<FatTree> tree_;  // engaged when topology is fat-tree
   sim::LpBus& bus_;
   std::vector<Deliver> receivers_;
   std::vector<std::unique_ptr<RankNet>> rank_net_;

@@ -1,10 +1,5 @@
 #include "net/topology.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-
 namespace gbc::net {
 
 namespace {
@@ -21,19 +16,6 @@ bool parse_int(std::string_view s, int& out) {
   return true;
 }
 
-bool parse_double(std::string_view s, double& out) {
-  if (s.empty()) return false;
-  char buf[32];
-  if (s.size() >= sizeof buf) return false;
-  s.copy(buf, s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  const double v = std::strtod(buf, &end);
-  if (end != buf + s.size()) return false;
-  out = v;
-  return true;
-}
-
 }  // namespace
 
 std::optional<TopologySpec> parse_topology(std::string_view s) {
@@ -41,43 +23,15 @@ std::optional<TopologySpec> parse_topology(std::string_view s) {
   if (s == "flat") return spec;
   constexpr std::string_view kPrefix = "fat-tree:";
   if (s.substr(0, kPrefix.size()) != kPrefix) return std::nullopt;
-  std::string_view rest = s.substr(kPrefix.size());
-  const std::size_t colon = rest.find(':');
-  if (colon == std::string_view::npos) return std::nullopt;
   spec.kind = TopologySpec::Kind::kFatTree;
-  if (!parse_int(rest.substr(0, colon), spec.radix)) return std::nullopt;
-  if (!parse_double(rest.substr(colon + 1), spec.oversub)) return std::nullopt;
-  if (spec.radix < 2 || spec.oversub < 1.0) return std::nullopt;
+  if (!parse_int(s.substr(kPrefix.size()), spec.radix)) return std::nullopt;
+  if (spec.radix < 2) return std::nullopt;
   return spec;
 }
 
 std::string topology_to_string(const TopologySpec& spec) {
   if (spec.flat()) return "flat";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "fat-tree:%d:%g", spec.radix, spec.oversub);
-  return buf;
-}
-
-FatTree::FatTree(const TopologySpec& spec, int nranks)
-    : spec_(spec), nranks_(nranks) {
-  nleaf_ = (nranks + spec.radix - 1) / spec.radix;
-  nleaf_ = std::max(nleaf_, 1);
-  // Uplinks per leaf: radix downlinks shared oversub:1.
-  nspine_ = std::max(
-      1, static_cast<int>(std::lround(spec.radix / spec.oversub)));
-}
-
-int FatTree::spine_for(int src, int dst) const noexcept {
-  // SplitMix64-style finalizer over the flow id; any fixed mix works, it
-  // just has to spread consecutive pairs across spines.
-  std::uint64_t x = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
-                     << 32) |
-                    static_cast<std::uint32_t>(dst);
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<int>(x % static_cast<std::uint64_t>(nspine_));
+  return "fat-tree:" + std::to_string(spec.radix);
 }
 
 }  // namespace gbc::net

@@ -16,9 +16,8 @@
 namespace gbc::sim {
 
 /// Which shard owns logical process `lp` when `nlps` LPs are split across
-/// `shards` contiguous blocks. This is the single ownership rule shared by
-/// the scale model and the full protocol stack (DESIGN.md §13): rank r lives
-/// on shard r*S/n, and the root service LP (id = nlps) is pinned to shard 0.
+/// `shards` contiguous blocks (DESIGN.md §13): rank r lives on shard r*S/n,
+/// and the root service LP (id = nlps) is pinned to shard 0.
 constexpr int lp_owner_shard(int lp, int nlps, int shards) {
   return static_cast<int>(static_cast<std::int64_t>(lp) * shards / nlps);
 }
@@ -29,7 +28,7 @@ constexpr int lp_owner_shard(int lp, int nlps, int shards) {
 /// (inter-group checkpoint sequencing, connection manager, shared PFS),
 /// pinned to shard 0. Every cross-LP interaction — wire flights, control
 /// messages, RPCs — flows through here with latency >= `floor()`, the
-/// lookahead-matrix floor, so the conservative horizons of ShardedEngine
+/// engine's uniform lookahead, so the conservative horizons of ShardedEngine
 /// stay valid and no LP ever reaches into another LP's state directly.
 ///
 /// ## Determinism: the settle-sweep discipline
@@ -81,7 +80,7 @@ class LpBus {
   /// checkpoint sequencing and ledger commit. Group coordinators and
   /// storage servers live on rank LPs (harness/service_map.hpp).
   int svc_lp() const noexcept { return nranks_; }
-  /// Minimum cross-LP message latency (the lookahead-matrix floor).
+  /// Minimum cross-LP message latency (the engine's lookahead).
   Time floor() const noexcept { return floor_; }
 
   int shards() const noexcept { return se_.shards(); }
@@ -190,7 +189,7 @@ class LpBus {
 
   /// Messages delivered to `lp` so far (settle-sweep executions). Owner
   /// shard writes, anyone may read at a quiescent point — the per-LP event
-  /// split bench/shard_scaling --fullstack reports.
+  /// split bench/shard_scaling reports.
   std::uint64_t delivered(int lp) const {
     return delivered_[static_cast<std::size_t>(lp)];
   }

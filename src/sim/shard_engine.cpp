@@ -6,7 +6,6 @@
 #include <exception>
 #include <mutex>
 #include <stdexcept>
-#include <string>
 #include <thread>
 
 namespace gbc::sim {
@@ -26,8 +25,8 @@ struct alignas(64) ShardedEngine::Shard {
 
 namespace {
 
-/// Addition that saturates at kMaxSimTime instead of overflowing — matrix
-/// entries use kMaxSimTime (kNoLink) for "no path".
+/// Addition that saturates at kMaxSimTime instead of overflowing: an idle
+/// shard's next event time is kMaxSimTime.
 Time sat_add(Time a, Time b) noexcept {
   if (a >= kMaxSimTime - b) return kMaxSimTime;
   return a + b;
@@ -51,72 +50,16 @@ struct ShardedEngine::Pool {
   std::vector<std::thread> workers;
 };
 
-ShardedEngine::ShardedEngine(const Options& opts) : trace_(opts.trace) {
+ShardedEngine::ShardedEngine(const Options& opts) {
   if (opts.shards < 1) {
     throw std::invalid_argument("ShardedEngine: shards must be >= 1");
   }
   const int S = opts.shards;
-  if (!opts.lookahead_matrix.empty()) {
-    if (opts.lookahead_matrix.size() !=
-        static_cast<std::size_t>(S) * static_cast<std::size_t>(S)) {
-      throw std::invalid_argument(
-          "ShardedEngine: lookahead matrix must be shards x shards");
-    }
-    matrix_ = opts.lookahead_matrix;
-    for (int i = 0; i < S; ++i) {
-      for (int j = 0; j < S; ++j) {
-        Time& e = matrix_[static_cast<std::size_t>(i) * S + j];
-        if (i == j) {
-          e = kNoLink;  // self-sends use the local wheel, never a mailbox
-        } else if (e <= 0) {
-          throw std::invalid_argument(
-              "ShardedEngine: lookahead matrix entries must be positive "
-              "(use kNoLink for silent pairs)");
-        }
-      }
-    }
-  } else {
-    if (S > 1 && opts.lookahead <= 0) {
-      throw std::invalid_argument(
-          "ShardedEngine: a positive lookahead is required for > 1 shard");
-    }
-    matrix_.assign(static_cast<std::size_t>(S) * S, kNoLink);
-    for (int i = 0; i < S; ++i) {
-      for (int j = 0; j < S; ++j) {
-        if (i != j) matrix_[static_cast<std::size_t>(i) * S + j] =
-            opts.lookahead;
-      }
-    }
+  if (S > 1 && opts.lookahead <= 0) {
+    throw std::invalid_argument(
+        "ShardedEngine: a positive lookahead is required for > 1 shard");
   }
-
-  lookahead_ = kNoLink;
-  for (int i = 0; i < S; ++i) {
-    for (int j = 0; j < S; ++j) {
-      if (i != j) {
-        lookahead_ =
-            std::min(lookahead_, matrix_[static_cast<std::size_t>(i) * S + j]);
-      }
-    }
-  }
-  if (lookahead_ == kNoLink) lookahead_ = 0;  // fully disconnected partition
-
-  // Conservative-horizon closure: cdist_[x][s] = length of the shortest
-  // message chain x -> ... -> s, and on the diagonal the shortest cycle
-  // through s. Floyd-Warshall with the diagonal seeded to kNoLink (not 0)
-  // computes exactly that, because a node is never a useful intermediate of
-  // its own shortest cycle.
-  cdist_ = matrix_;
-  for (int k = 0; k < S; ++k) {
-    for (int i = 0; i < S; ++i) {
-      const Time ik = cdist_[static_cast<std::size_t>(i) * S + k];
-      if (ik == kNoLink) continue;
-      for (int j = 0; j < S; ++j) {
-        const Time kj = cdist_[static_cast<std::size_t>(k) * S + j];
-        Time& ij = cdist_[static_cast<std::size_t>(i) * S + j];
-        ij = std::min(ij, sat_add(ik, kj));
-      }
-    }
-  }
+  lookahead_ = S > 1 ? opts.lookahead : 0;
 
   threads_ = std::clamp(opts.threads, 1, S);
   next_.resize(S);
@@ -149,10 +92,7 @@ void ShardedEngine::post(int src, int dst, Time t, InlineFn fn) {
     return;
   }
   Shard& from = *shards_[src];
-  assert(matrix_[static_cast<std::size_t>(src) * shards() + dst] != kNoLink &&
-         "cross-shard post on a pair the lookahead matrix declares silent");
-  assert(t >= from.eng.now() +
-                 matrix_[static_cast<std::size_t>(src) * shards() + dst] &&
+  assert(t >= from.eng.now() + lookahead_ &&
          "cross-shard post inside the conservative horizon");
   ++from.stats.cross_sent;
   from.out[dst]->push(CrossEvent{t, from.next_seq++, std::move(fn)});
@@ -251,22 +191,6 @@ void ShardedEngine::stop_pool() {
   pool_.reset();
 }
 
-void ShardedEngine::emit_trace_spans() {
-  if (trace_ == nullptr || !trace_->enabled()) return;
-  for (int s = 0; s < shards(); ++s) {
-    if (ends_[s] == 0) continue;
-    const Shard& sh = *shards_[s];
-    const std::uint64_t n =
-        sh.eng.events_processed() - sh.events_before_window;
-    if (n == 0) continue;
-    const std::string cat = "shard/" + std::to_string(s) + "/window";
-    const Time t0 = next_[s];
-    const Time end = ends_[s] == kMaxSimTime ? sh.eng.now() : ends_[s];
-    trace_->add(t0, -2 - s, cat, "begin");
-    trace_->add(end, -2 - s, cat, "end events=" + std::to_string(n));
-  }
-}
-
 void ShardedEngine::run_rounds(Time cap) {
   const int S = shards();
   bool first = true;
@@ -295,18 +219,24 @@ void ShardedEngine::run_rounds(Time cap) {
       return;
     }
 
-    // Earliest-input-time horizons. The shard holding the globally earliest
-    // event always has end > next (every cdist is positive), so each round
-    // makes progress.
+    // Earliest-input-time horizons. Every other shard's bound is the
+    // global minimum of next_; the shard holding it is bounded by the
+    // runner-up instead. The shard holding the globally earliest event
+    // always has end > next (L > 0), so each round makes progress.
+    int first_s = 0;
+    for (int s = 1; s < S; ++s) {
+      if (next_[s] < next_[first_s]) first_s = s;
+    }
+    Time second = kMaxSimTime;
+    for (int s = 0; s < S; ++s) {
+      if (s != first_s) second = std::min(second, next_[s]);
+    }
     int runnable = 0;
     int sole = -1;
     for (int s = 0; s < S; ++s) {
-      Time e = kMaxSimTime;
-      for (int x = 0; x < S; ++x) {
-        e = std::min(e,
-                     sat_add(next_[x], cdist_[static_cast<std::size_t>(x) * S +
-                                              s]));
-      }
+      const Time others = s == first_s ? second : tmin;
+      Time e = std::min(sat_add(next_[s], 2 * lookahead_),
+                        sat_add(others, lookahead_));
       if (cap != kMaxSimTime && e > cap) e = cap + 1;
       if (e > next_[s]) {
         ends_[s] = e;
@@ -348,8 +278,6 @@ void ShardedEngine::run_rounds(Time cap) {
       std::unique_lock<std::mutex> lk(pool_->m);
       pool_->done_cv.wait(lk, [&] { return pool_->done == threads_ - 1; });
     }
-
-    emit_trace_spans();
 
     for (auto& sh : shards_) {
       if (sh->error) {

@@ -6,7 +6,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
-#include "sim/trace.hpp"
 
 namespace gbc::sim {
 
@@ -30,25 +29,22 @@ struct ShardStats {
 /// order, so serial and S-shard runs are event-for-event identical at any
 /// thread count.
 ///
-/// ## Horizons: the per-shard-pair lookahead matrix
+/// ## Horizons: one uniform lookahead
 ///
-/// How far a shard may run between barriers is governed by a per-shard-pair
-/// lookahead matrix L: L[src][dst] is the minimum latency of any message the
-/// model will ever post from src to dst (kNoLink if that pair never
-/// exchanges messages). From it the engine precomputes `cdist`, the
-/// all-pairs shortest path over L *including cycle lengths on the diagonal*
-/// (cdist[s][s] = the shortest cycle through s). At every round each
-/// shard's horizon is the earliest-input-time bound
+/// Every cross-shard post lands at least L (`Options::lookahead`) after its
+/// sender's clock. At every round each shard's horizon is the
+/// earliest-input-time bound
 ///
-///     end[s] = min over all shards x of ( next(x) + cdist[x][s] )
+///     end[s] = min( next(s) + 2L,  min over x != s of next(x) + L )
 ///
 /// where next(x) is x's earliest pending event: no message can arrive at s
-/// before end[s] that is not already in s's wheel. The diagonal term is
-/// what makes the naive "min over other shards' next + direct latency"
-/// bound safe: an event on s itself can round-trip through an idle shard
-/// and re-enter s's near future, so s is bounded by its own shortest cycle.
-/// A shard with next(s) >= end[s] simply sits the round out — its wheel is
-/// untouched, so its next-event query stays O(1) (memoized in the wheel).
+/// before end[s] that is not already in s's wheel. The 2L term is what makes
+/// the naive "min over other shards' next + L" bound safe: an event on s
+/// itself can round-trip through an idle shard and re-enter s's near
+/// future, so s is bounded by its own shortest cycle. Both terms come from
+/// the two smallest next() values, so a round costs O(S). A shard with
+/// next(s) >= end[s] simply sits the round out — its wheel is untouched, so
+/// its next-event query stays O(1) (memoized in the wheel).
 ///
 /// ## Windows vs rounds: empty-window fusion
 ///
@@ -70,33 +66,19 @@ struct ShardStats {
 /// Determinism does NOT depend on the thread count or the shard->thread
 /// assignment; it does depend on the shard *count* only through the model's
 /// LP discipline (a disciplined model is shard-count-invariant too; see
-/// harness/scale_model.cpp for the inbox discipline, and sim::LpBus for the
-/// settle-sweep discipline the full protocol stack uses).
+/// sim::LpBus for the settle-sweep discipline the protocol stack uses).
 class ShardedEngine {
  public:
-  /// Matrix entry for "these two shards never exchange messages".
-  static constexpr Time kNoLink = kMaxSimTime;
-
   struct Options {
     int shards = 1;
-    /// Uniform conservative horizon, used for every shard pair when
-    /// `lookahead_matrix` is empty; must be > 0 when shards > 1.
+    /// Minimum latency of any cross-shard post (the conservative
+    /// horizon); must be > 0 when shards > 1.
     Time lookahead = 0;
-    /// Optional per-shard-pair minimum message latency, row-major
-    /// shards x shards: entry [src * shards + dst] is the minimum latency
-    /// of any cross-shard post src -> dst, or kNoLink when that pair never
-    /// exchanges messages. Diagonal entries are ignored. Every finite entry
-    /// must be > 0. The tighter (sparser, larger) this matrix, the wider
-    /// the conservative horizons.
-    std::vector<Time> lookahead_matrix;
     /// Worker threads to run rounds on, clamped to [1, shards]. 1 runs all
     /// shards inline on the calling thread (identical results, no threads).
     /// Callers should size this via harness::ThreadBudget so sweeps and
     /// sharded runs never oversubscribe the machine together.
     int threads = 1;
-    /// When set (and enabled), the coordinator emits one
-    /// `shard/<id>/window` span per busy shard per round.
-    Trace* trace = nullptr;
   };
 
   explicit ShardedEngine(const Options& opts);
@@ -106,14 +88,11 @@ class ShardedEngine {
 
   int shards() const noexcept { return static_cast<int>(shards_.size()); }
   int threads() const noexcept { return threads_; }
-  /// Minimum finite cross-shard lookahead (the scalar the lockstep design
-  /// used everywhere).
-  Time lookahead() const noexcept { return lookahead_; }
   Engine& shard(int s);
 
   /// Cross-shard schedule: from model code running on shard `src`, schedule
   /// fn on shard `dst` at absolute simulated time t. Requires
-  /// t >= shard(src).now() + L[src][dst] (the conservative contract;
+  /// t >= shard(src).now() + lookahead (the conservative contract;
   /// asserted) — use a same-shard schedule_at for anything closer, which
   /// post() degrades to when src == dst.
   void post(int src, int dst, Time t, InlineFn fn);
@@ -151,18 +130,14 @@ class ShardedEngine {
   /// of cross events injected.
   std::size_t drain_and_inject();
   void stop_pool();
-  void emit_trace_spans();
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<Time> matrix_;  // row-major L[src * S + dst]
-  std::vector<Time> cdist_;   // APSP closure of matrix_, cycles on diagonal
   std::vector<Time> next_;    // per-round scratch: earliest pending event
   std::vector<Time> ends_;    // per-round horizon; 0 = sits this round out
   std::vector<std::uint64_t> drained_;  // cross posts already merged, per src
   std::vector<char> injected_;  // per-round scratch: merge touched this shard
   Time lookahead_ = 0;
   int threads_ = 1;
-  Trace* trace_ = nullptr;
   std::uint64_t windows_ = 0;
   std::uint64_t rounds_ = 0;
 

@@ -48,14 +48,8 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
-// Row layout: -1 -> 0 ("global"), rank r -> r + 1, and shard coordinator
-// actors (-2 - shard, emitted by sim::ShardedEngine) -> a high band so
-// shard rows sort below the rank rows instead of colliding with "global".
-int chrome_tid(int actor) {
-  if (actor >= 0) return actor + 1;
-  if (actor == -1) return 0;
-  return 1000000 + (-actor - 2);
-}
+// Row layout: -1 -> 0 ("global"), rank r -> r + 1.
+int chrome_tid(int actor) { return actor + 1; }
 
 void append_event(std::string& out, bool& first, const Trace::Event& ev,
                   char ph, std::string_view name) {
@@ -107,13 +101,7 @@ std::string trace_to_chrome_json(const Trace& trace) {
     out += R"({"name":"thread_name","ph":"M","pid":0,"tid":)";
     out += std::to_string(chrome_tid(actor));
     out += R"(,"args":{"name":")";
-    if (actor >= 0) {
-      out += "rank " + std::to_string(actor);
-    } else if (actor == -1) {
-      out += "global";
-    } else {
-      out += "shard " + std::to_string(-actor - 2);
-    }
+    out += actor >= 0 ? "rank " + std::to_string(actor) : "global";
     out += R"("}})";
   }
   out += "\n]}\n";

@@ -27,12 +27,11 @@ double StorageSystem::per_flow_rate_bps() const {
 void StorageSystem::recompute_rates() {
   const int n = active_flows();
   if (n == 0) return;
+  const std::size_t nf = flows_.size();
   if (!striped()) {
     // Pooled model: symmetric fair share of the aggregate.
     const double share = cfg_.per_client_mbps(n) * kBytesPerMb;
-    for (auto& f : flows_) {
-      f->rate_bps = share * (f->read ? cfg_.read_factor : 1.0);
-    }
+    for (std::size_t i = 0; i < nf; ++i) rate_bps_[i] = share * scale_[i];
     return;
   }
   // Striped model: max-min fair allocation (progressive filling) subject to
@@ -41,18 +40,21 @@ void StorageSystem::recompute_rates() {
   const double total = cfg_.aggregate_mbps(n) * kBytesPerMb;
   const double server_cap = total / cfg_.num_servers;
   std::vector<double> server_load(cfg_.num_servers, 0.0);
-  std::vector<Flow*> unfrozen;
-  unfrozen.reserve(flows_.size());
-  for (auto& f : flows_) {
-    f->rate_bps = 0;
-    unfrozen.push_back(f.get());
+  std::vector<std::size_t> unfrozen(nf);
+  for (std::size_t i = 0; i < nf; ++i) {
+    rate_bps_[i] = 0;
+    unfrozen[i] = i;
   }
+  const auto client_cap = [&](std::size_t i) {
+    return cfg_.per_client_cap_mbps * kBytesPerMb * scale_[i];
+  };
   constexpr double kEps = 1e-6;
   while (!unfrozen.empty()) {
     std::vector<double> slope(cfg_.num_servers, 0.0);
-    for (Flow* f : unfrozen) {
-      for (int s : f->servers) {
-        slope[s] += 1.0 / static_cast<double>(f->servers.size());
+    for (std::size_t i : unfrozen) {
+      const std::vector<int>& servers = flows_[i]->servers;
+      for (int s : servers) {
+        slope[s] += 1.0 / static_cast<double>(servers.size());
       }
     }
     double step = std::numeric_limits<double>::infinity();
@@ -61,30 +63,25 @@ void StorageSystem::recompute_rates() {
         step = std::min(step, (server_cap - server_load[s]) / slope[s]);
       }
     }
-    for (Flow* f : unfrozen) {
-      const double cap =
-          cfg_.per_client_cap_mbps * kBytesPerMb *
-          (f->read ? cfg_.read_factor : 1.0);
-      step = std::min(step, cap - f->rate_bps);
+    for (std::size_t i : unfrozen) {
+      step = std::min(step, client_cap(i) - rate_bps_[i]);
     }
     if (!std::isfinite(step) || step < 0) break;
-    for (Flow* f : unfrozen) {
-      f->rate_bps += step;
-      for (int s : f->servers) {
-        server_load[s] += step / static_cast<double>(f->servers.size());
+    for (std::size_t i : unfrozen) {
+      rate_bps_[i] += step;
+      const std::vector<int>& servers = flows_[i]->servers;
+      for (int s : servers) {
+        server_load[s] += step / static_cast<double>(servers.size());
       }
     }
     // Freeze flows at their client cap or touching a saturated server.
-    std::vector<Flow*> still;
-    for (Flow* f : unfrozen) {
-      const double cap =
-          cfg_.per_client_cap_mbps * kBytesPerMb *
-          (f->read ? cfg_.read_factor : 1.0);
-      bool frozen = f->rate_bps >= cap - kEps;
-      for (int s : f->servers) {
+    std::vector<std::size_t> still;
+    for (std::size_t i : unfrozen) {
+      bool frozen = rate_bps_[i] >= client_cap(i) - kEps;
+      for (int s : flows_[i]->servers) {
         if (server_load[s] >= server_cap - kEps) frozen = true;
       }
-      if (!frozen) still.push_back(f);
+      if (!frozen) still.push_back(i);
     }
     if (still.size() == unfrozen.size()) break;  // numerical safety
     unfrozen.swap(still);
@@ -97,7 +94,8 @@ void StorageSystem::advance() {
   last_update_ = now;
   if (dt <= 0 || flows_.empty()) return;
   const double seconds = sim::to_seconds(dt);
-  for (auto& f : flows_) f->remaining -= f->rate_bps * seconds;
+  const std::size_t nf = flows_.size();
+  for (std::size_t i = 0; i < nf; ++i) remaining_[i] -= rate_bps_[i] * seconds;
 }
 
 void StorageSystem::reschedule() {
@@ -105,9 +103,10 @@ void StorageSystem::reschedule() {
   if (flows_.empty()) return;
   recompute_rates();
   double earliest_s = -1.0;
-  for (const auto& f : flows_) {
-    const double left = std::max(f->remaining, 0.0);
-    const double secs = f->rate_bps > 0 ? left / f->rate_bps : 0.0;
+  const std::size_t nf = flows_.size();
+  for (std::size_t i = 0; i < nf; ++i) {
+    const double left = std::max(remaining_[i], 0.0);
+    const double secs = rate_bps_[i] > 0 ? left / rate_bps_[i] : 0.0;
     if (earliest_s < 0 || secs < earliest_s) earliest_s = secs;
   }
   const auto dt = static_cast<sim::Time>(
@@ -120,20 +119,29 @@ void StorageSystem::reschedule() {
 void StorageSystem::on_completion_event(std::uint64_t generation) {
   if (generation != generation_) return;  // superseded by a set change
   advance();
-  bool removed = false;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    auto& f = **it;
-    if (f.remaining <= 0.5) {
-      f.done = true;
-      f.cv.notify_all();
+  // Wake finished flows in arrival order and compact the rest in place.
+  const std::size_t nf = flows_.size();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < nf; ++i) {
+    if (remaining_[i] <= 0.5) {
+      flows_[i]->done = true;
+      flows_[i]->cv.notify_all();
       ++completed_flows_;
-      it = flows_.erase(it);
-      removed = true;
-    } else {
-      ++it;
+      continue;
     }
+    if (kept != i) {
+      remaining_[kept] = remaining_[i];
+      rate_bps_[kept] = rate_bps_[i];
+      scale_[kept] = scale_[i];
+      flows_[kept] = std::move(flows_[i]);
+    }
+    ++kept;
   }
-  if (removed && flows_.empty()) busy_accum_ += eng_.now() - busy_since_;
+  remaining_.resize(kept);
+  rate_bps_.resize(kept);
+  scale_.resize(kept);
+  flows_.resize(kept);
+  if (kept < nf && flows_.empty()) busy_accum_ += eng_.now() - busy_since_;
   reschedule();
 }
 
@@ -141,7 +149,7 @@ sim::Task<void> StorageSystem::transfer(Bytes size, bool read) {
   if (size <= 0) co_return;
   bytes_transferred_ += size;
   advance();
-  auto flow = std::make_shared<Flow>(eng_, static_cast<double>(size), read);
+  auto flow = std::make_shared<Flow>(eng_);
   if (striped()) {
     for (int k = 0; k < cfg_.stripe_count; ++k) {
       flow->servers.push_back((next_stripe_offset_ + k) % cfg_.num_servers);
@@ -149,6 +157,9 @@ sim::Task<void> StorageSystem::transfer(Bytes size, bool read) {
     next_stripe_offset_ = (next_stripe_offset_ + 1) % cfg_.num_servers;
   }
   if (flows_.empty()) busy_since_ = eng_.now();
+  remaining_.push_back(static_cast<double>(size));
+  rate_bps_.push_back(0.0);
+  scale_.push_back(read ? cfg_.read_factor : 1.0);
   flows_.push_back(flow);
   peak_concurrency_ = std::max(peak_concurrency_, active_flows());
   reschedule();

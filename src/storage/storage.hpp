@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <list>
 #include <memory>
 #include <vector>
 
@@ -86,15 +85,13 @@ class StorageSystem {
   double per_flow_rate_bps() const;
 
  private:
+  /// A flow's waiter and stripe; its hot numbers live in the parallel
+  /// arrays below.
   struct Flow {
-    double remaining;  // bytes left to move
-    bool read;
     bool done = false;
-    double rate_bps = 0;       // current allocation
     std::vector<int> servers;  // stripe targets (striped model only)
     sim::Condition cv;
-    explicit Flow(sim::Engine& e, double bytes, bool rd)
-        : remaining(bytes), read(rd), cv(e) {}
+    explicit Flow(sim::Engine& e) : cv(e) {}
   };
 
   sim::Task<void> transfer(Bytes size, bool read);
@@ -111,7 +108,14 @@ class StorageSystem {
 
   sim::Engine& eng_;
   StorageConfig cfg_;
-  std::list<std::shared_ptr<Flow>> flows_;
+  // Active flows in arrival order, as parallel arrays: every arrival and
+  // departure sweeps all of them (progress, rates, next completion), and a
+  // full-job checkpoint at 16k ranks keeps 16k flows active at once, so
+  // the sweeps run over contiguous doubles.
+  std::vector<double> remaining_;  // bytes left to move
+  std::vector<double> rate_bps_;   // current allocation
+  std::vector<double> scale_;      // read_factor for reads, 1 for writes
+  std::vector<std::shared_ptr<Flow>> flows_;
   int next_stripe_offset_ = 0;
   sim::Time last_update_ = 0;
   std::uint64_t generation_ = 0;  // invalidates stale completion events

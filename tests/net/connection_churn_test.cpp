@@ -96,9 +96,14 @@ TEST(ConnectionChurn, ConnectedPeersTrackChurn) {
     co_await w.cm().ensure_connected(0, 2);
     co_await w.cm().ensure_connected(3, 0);  // order of endpoints irrelevant
     EXPECT_EQ(w.cm().connected_peers(0), (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(w.cm().connected_peers(3), (std::vector<int>{0}));
     co_await w.cm().disconnect(0, 2);
+    // The peer leaves both endpoints' rows.
     EXPECT_EQ(w.cm().connected_peers(0), (std::vector<int>{1, 3}));
+    EXPECT_EQ(w.cm().connected_peers(2), (std::vector<int>{}));
     co_await w.cm().ensure_connected(0, 2);  // rebuild after teardown
+    EXPECT_EQ(w.cm().connected_peers(0), (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(w.cm().connected_peers(2), (std::vector<int>{0}));
     co_await w.cm().disconnect(0, 3);
     EXPECT_EQ(w.cm().connected_peers(0), (std::vector<int>{1, 2}));
     EXPECT_EQ(w.cm().connected_peers(3), (std::vector<int>{}));
@@ -107,6 +112,29 @@ TEST(ConnectionChurn, ConnectedPeersTrackChurn) {
   EXPECT_EQ(w.cm().established_count(), 2);
   EXPECT_EQ(w.cm().total_setups(), 4);
   EXPECT_EQ(w.cm().total_teardowns(), 2);
+}
+
+// Rows stay ascending whatever order connections arrive and leave in, and a
+// connection in kDraining already counts as gone.
+TEST(ConnectionChurn, ConnectedPeerRowsStayAscendingUnderChurn) {
+  World w(8);
+  w.eng.spawn([](World& w) -> Task<void> {
+    for (int peer : {5, 1, 7, 3, 6}) co_await w.cm().ensure_connected(peer, 4);
+    EXPECT_EQ(w.cm().connected_peers(4), (std::vector<int>{1, 3, 5, 6, 7}));
+    sim::Task<void> disc = w.cm().disconnect(4, 5);
+    w.eng.spawn(std::move(disc));
+    co_await w.eng.delay(1);  // teardown started: 4<->5 is draining
+    EXPECT_EQ(w.cm().state(4, 5), ConnState::kDraining);
+    EXPECT_EQ(w.cm().connected_peers(4), (std::vector<int>{1, 3, 6, 7}));
+    EXPECT_EQ(w.cm().connected_peers(5), (std::vector<int>{}));
+    co_await w.cm().disconnect(1, 4);
+    co_await w.cm().ensure_connected(4, 0);
+    co_await w.cm().ensure_connected(4, 5);
+    EXPECT_EQ(w.cm().connected_peers(4), (std::vector<int>{0, 3, 5, 6, 7}));
+    EXPECT_EQ(w.cm().connected_peers(5), (std::vector<int>{4}));
+  }(w));
+  w.eng.run();
+  EXPECT_EQ(w.cm().established_count(), 5);
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 namespace gbc::net {
 namespace {
 
@@ -11,77 +9,42 @@ TEST(ParseTopology, AcceptsFlat) {
   const auto t = parse_topology("flat");
   ASSERT_TRUE(t.has_value());
   EXPECT_TRUE(t->flat());
-  EXPECT_EQ(t->min_hops(), 0);
+  EXPECT_EQ(t->min_hops(), 1);
   EXPECT_EQ(topology_to_string(*t), "flat");
 }
 
 TEST(ParseTopology, AcceptsFatTree) {
-  const auto t = parse_topology("fat-tree:32:2");
+  const auto t = parse_topology("fat-tree:32");
   ASSERT_TRUE(t.has_value());
   EXPECT_FALSE(t->flat());
   EXPECT_EQ(t->radix, 32);
-  EXPECT_DOUBLE_EQ(t->oversub, 2.0);
   EXPECT_EQ(t->min_hops(), 2);
-  EXPECT_EQ(topology_to_string(*t), "fat-tree:32:2");
-}
-
-TEST(ParseTopology, AcceptsFractionalOversub) {
-  const auto t = parse_topology("fat-tree:16:1.5");
-  ASSERT_TRUE(t.has_value());
-  EXPECT_DOUBLE_EQ(t->oversub, 1.5);
+  EXPECT_EQ(topology_to_string(*t), "fat-tree:32");
 }
 
 TEST(ParseTopology, RejectsMalformedInput) {
   EXPECT_FALSE(parse_topology("").has_value());
   EXPECT_FALSE(parse_topology("bogus").has_value());
   EXPECT_FALSE(parse_topology("fat-tree").has_value());
-  EXPECT_FALSE(parse_topology("fat-tree:32").has_value());
+  EXPECT_FALSE(parse_topology("fat-tree:").has_value());
+  EXPECT_FALSE(parse_topology("fat-tree:abc").has_value());
+  EXPECT_FALSE(parse_topology("fat-tree:1").has_value());  // radix < 2
+  EXPECT_FALSE(parse_topology("fat-tree:-8").has_value());
+  // The retired <radix>:<oversub> form: oversubscription changes nothing.
+  EXPECT_FALSE(parse_topology("fat-tree:32:2").has_value());
   EXPECT_FALSE(parse_topology("fat-tree:32:2:9").has_value());
-  EXPECT_FALSE(parse_topology("fat-tree:abc:2").has_value());
-  EXPECT_FALSE(parse_topology("fat-tree:32:xyz").has_value());
-  EXPECT_FALSE(parse_topology("fat-tree:1:2").has_value());     // radix < 2
-  EXPECT_FALSE(parse_topology("fat-tree:32:0.5").has_value());  // oversub < 1
-  EXPECT_FALSE(parse_topology("fat-tree:-8:2").has_value());
 }
 
 TEST(FatTree, LeafMembershipAndHops) {
-  const auto spec = parse_topology("fat-tree:4:1");
+  const auto spec = parse_topology("fat-tree:4");
   ASSERT_TRUE(spec.has_value());
-  FatTree tree(*spec, 16);
-  EXPECT_EQ(tree.nleaf(), 4);
-  EXPECT_EQ(tree.nspine(), 4);  // radix / oversub
-  EXPECT_EQ(tree.leaf_of(0), 0);
-  EXPECT_EQ(tree.leaf_of(3), 0);
-  EXPECT_EQ(tree.leaf_of(4), 1);
-  EXPECT_TRUE(tree.same_leaf(0, 3));
-  EXPECT_FALSE(tree.same_leaf(3, 4));
-  EXPECT_EQ(tree.hops(0, 3), 2);   // within a leaf
-  EXPECT_EQ(tree.hops(0, 15), 4);  // across leaves
-}
-
-TEST(FatTree, OversubShrinksSpine) {
-  const auto spec = parse_topology("fat-tree:8:2");
-  ASSERT_TRUE(spec.has_value());
-  FatTree tree(*spec, 64);
-  EXPECT_EQ(tree.nspine(), 4);
-}
-
-TEST(FatTree, EcmpIsDeterministicAndInRange) {
-  const auto spec = parse_topology("fat-tree:8:1");
-  ASSERT_TRUE(spec.has_value());
-  FatTree tree(*spec, 64);
-  std::set<int> used;
-  for (int src = 0; src < 64; src += 7) {
-    for (int dst = 0; dst < 64; dst += 5) {
-      const int s = tree.spine_for(src, dst);
-      EXPECT_GE(s, 0);
-      EXPECT_LT(s, tree.nspine());
-      EXPECT_EQ(s, tree.spine_for(src, dst));  // stable per flow
-      used.insert(s);
-    }
-  }
-  // The hash should actually spread flows, not collapse onto one spine.
-  EXPECT_GT(used.size(), 1u);
+  EXPECT_EQ(spec->hops(0, 3), 2);   // within a leaf
+  EXPECT_EQ(spec->hops(3, 4), 4);   // neighbours on adjacent leaves
+  EXPECT_EQ(spec->hops(0, 15), 4);  // across leaves
+  EXPECT_EQ(spec->hops(15, 12), 2);
+  EXPECT_EQ(spec->hops(5, 5), 1);   // loopback: the NIC's own wire
+  const TopologySpec flat;
+  EXPECT_EQ(flat.hops(0, 15), 1);   // crossbar: one wire between any pair
 }
 
 }  // namespace

@@ -175,36 +175,6 @@ TEST(ShardedEngine, LocalOnlyWorkloadFusesToZeroWindows) {
   EXPECT_GE(se.rounds(), 1u);
 }
 
-// The per-pair matrix widens horizons beyond the uniform minimum: a pair
-// declared kNoLink never constrains, and an asymmetric pair constrains only
-// in its stated direction. Deliveries still land exactly where posted.
-TEST(ShardedEngine, LookaheadMatrixRoutesAsymmetricPairs) {
-  ShardedEngine::Options opts;
-  opts.shards = 3;
-  // 0 -> 1 tight (3), 1 -> 0 loose (50), 2 exchanges with nobody.
-  opts.lookahead_matrix = {
-      ShardedEngine::kNoLink, 3,  ShardedEngine::kNoLink,
-      50, ShardedEngine::kNoLink, ShardedEngine::kNoLink,
-      ShardedEngine::kNoLink, ShardedEngine::kNoLink, ShardedEngine::kNoLink,
-  };
-  ShardedEngine se(opts);
-  std::vector<std::pair<int, Time>> log;
-  int local2 = 0;
-  se.shard(2).schedule_at(1, [&] { ++local2; });  // isolated shard just runs
-  se.shard(0).schedule_at(0, [&] {
-    se.post(0, 1, 3, [&] {
-      log.emplace_back(1, se.shard(1).now());
-      se.post(1, 0, 53, [&] { log.emplace_back(0, se.shard(0).now()); });
-    });
-  });
-  se.run();
-  EXPECT_EQ(local2, 1);
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0], (std::pair<int, Time>{1, 3}));
-  EXPECT_EQ(log[1], (std::pair<int, Time>{0, 53}));
-  EXPECT_EQ(se.lookahead(), 3);
-}
-
 // run_until stops at the cap, leaves later work pending, advances every
 // shard clock to the cap, and a follow-up run() finishes the job. abort_all
 // after run_until discards in-flight cross traffic without delivering it.
