@@ -1,26 +1,21 @@
 #!/usr/bin/env bash
 # Runs the simulator microbenchmarks plus representative sweeps (fig3
 # micro-benchmark sweep, fig6 HPL group-size sweep, the sharded-DES scaling
-# benches) and assembles a machine-readable perf snapshot. This is the file
-# committed as BENCH_pr<N>.json to track the events/s trajectory across PRs.
+# benches) once and assembles a machine-readable perf snapshot of that run.
+# The snapshot is a record, not a gate: absolute times differ from host to
+# host, so a speed claim is checked with an A/B run against the parent
+# revision on one host (scripts/ab_perfbench.sh). The committed
+# BENCH_pr*.json files are frozen history of earlier snapshots.
 #
 # Usage: bench/run_benchmarks.sh [build-dir] [output.json]
 #   build-dir   cmake build tree containing bench/ binaries   (default: build)
-#   output.json snapshot destination                          (default: BENCH_pr10.json)
+#   output.json snapshot destination                     (default: BENCH.json)
 # Env: GBC_BENCH_MIN_TIME  seconds per microbenchmark case    (default: 2)
-#      GBC_BENCH_REPS      full reruns; gate + snapshot use the per-entry
-#                          median across them                 (default: 3)
-#
-# The whole suite runs GBC_BENCH_REPS times and both the committed snapshot
-# and the regression gate use the per-entry *median* across the reruns: on a
-# single-CPU box one sample swings with host load, and gating on it made the
-# regression flag differ between otherwise-identical invocations (PR 9).
 set -euo pipefail
 
 BUILD=${1:-build}
-OUT=${2:-BENCH_pr10.json}
+OUT=${2:-BENCH.json}
 MIN_TIME=${GBC_BENCH_MIN_TIME:-2}
-REPS=${GBC_BENCH_REPS:-3}
 
 for bin in simcore_microbench fig3_group_size fig6_hpl_groupsize shard_scaling scale_groupsize fig9_erasure ablation_erasure; do
   if [[ ! -x "$BUILD/bench/$bin" ]]; then
@@ -37,7 +32,7 @@ trap 'rm -rf "$tmp"' EXIT
 GBC_GIT_SHA=$(git rev-parse HEAD 2>/dev/null || echo unknown)
 export GBC_GIT_SHA
 
-# One full pass of the suite: microbench JSON to $1, sweep JSONL to $2.
+# The suite: microbench JSON to $1, sweep JSONL to $2.
 run_suite() {
   local micro_json=$1 sweeps_jsonl=$2
 
@@ -55,7 +50,7 @@ run_suite() {
   fi
 
   echo "== erasure tier =="
-  # Clean-run phases carry the gated events/s records; the recovery phases
+  # Clean-run phases carry the events/s records; the recovery phases
   # report TTS only (their SweepStats have no engine events). ablation_erasure
   # exits non-zero if its RS(4,2) acceptance row regresses.
   GBC_BENCH_OUT="$tmp/csv" "$BUILD/bench/fig9_erasure"
@@ -117,31 +112,6 @@ assemble() {
   ' "$micro_json" >"$out_json"
 }
 
-snaps=()
-for rep in $(seq 1 "$REPS"); do
-  echo "==== bench rep $rep/$REPS ===="
-  run_suite "$tmp/micro_$rep.json" "$tmp/sweeps_$rep.jsonl"
-  assemble "$tmp/micro_$rep.json" "$tmp/sweeps_$rep.jsonl" "$tmp/snap_$rep.json"
-  snaps+=("$tmp/snap_$rep.json")
-done
-
-# Regression gate: when a baseline snapshot exists (GBC_BENCH_BASELINE, or
-# the newest committed BENCH_pr*.json other than $OUT), any matched entry
-# whose *median* is more than 10% slower fails the run. The median snapshot
-# is written to $OUT either way.
-BASELINE=${GBC_BENCH_BASELINE:-}
-if [[ -z "$BASELINE" ]]; then
-  for f in $(ls -t BENCH_pr*.json 2>/dev/null); do
-    if [[ "$f" != "$OUT" ]]; then BASELINE=$f; break; fi
-  done
-fi
-if [[ -n "$BASELINE" && -f "$BASELINE" ]]; then
-  echo "== regression check vs $BASELINE (median of $REPS rep(s)) =="
-  python3 "$(dirname "$0")/../scripts/bench_compare.py" \
-    "$BASELINE" "${snaps[@]}" --write-median "$OUT"
-else
-  echo "no baseline snapshot found; skipping regression check"
-  python3 "$(dirname "$0")/../scripts/bench_compare.py" \
-    - "${snaps[@]}" --write-median "$OUT"
-fi
+run_suite "$tmp/micro.json" "$tmp/sweeps.jsonl"
+assemble "$tmp/micro.json" "$tmp/sweeps.jsonl" "$OUT"
 echo "wrote $OUT"

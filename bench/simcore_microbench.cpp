@@ -143,26 +143,22 @@ void BM_MpiPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_MpiPingPong);
 
-// Message-path allocation churn in isolation: one pooled envelope body plus
-// one arena-allocated request record per message, the per-message allocation
-// pattern of the MPI layer (to_packet + make_request). Steady state must be
-// allocation-free — the pool stats assert recycling actually happens.
+// Message-path allocation churn in isolation: one arena-allocated request
+// record per message, the per-message allocation of the MPI layer
+// (make_request; the envelope itself travels by value inside the packet).
+// Steady state must be allocation-free — the arena stats assert recycling
+// actually happens.
 void BM_MsgAlloc(benchmark::State& state) {
   sim::Engine eng;
-  sim::MsgPool<mpi::Envelope> pool;
   auto arena = std::make_shared<sim::ArenaCore>();
   for (auto _ : state) {
     for (int i = 0; i < 1000; ++i) {
-      sim::MsgBuf body =
-          pool.make(mpi::Envelope{0, 0, 1, 0, 4096, nullptr, 0});
       auto req = std::allocate_shared<mpi::ReqState>(
           sim::ArenaAlloc<mpi::ReqState>(arena), eng);
-      benchmark::DoNotOptimize(body.get<mpi::Envelope>());
       benchmark::DoNotOptimize(req->done);
     }
   }
   state.SetItemsProcessed(state.iterations() * 1000);
-  state.counters["pool_reuse"] = static_cast<double>(pool.reused());
   state.counters["arena_reuse"] = static_cast<double>(arena->reused());
 }
 BENCHMARK(BM_MsgAlloc);

@@ -6,9 +6,39 @@
 
 namespace gbc::mpi {
 
+using net::PacketKind;
+
 namespace {
 /// Wire size of control packets (headers, RTS/CTS/FIN).
 constexpr Bytes kCtrlBytes = 64;
+
+/// Does this transfer move the message's payload (and so pay sender taxes
+/// and count as a transmit)?
+bool carries_payload(PacketKind k) {
+  return k == PacketKind::kEager || k == PacketKind::kRdmaData;
+}
+
+/// The wire packet for one outbound item: the envelope moves into the
+/// packet, and only the routing fields depend on the kind.
+net::Packet to_packet(PacketKind kind, Envelope&& env) {
+  net::Packet p{env.src_world, env.dst_world, kCtrlBytes, kind,
+                std::move(env)};
+  switch (kind) {
+    case PacketKind::kEager:
+      p.bytes += p.env.bytes;
+      break;
+    case PacketKind::kRdmaData:
+      p.bytes = p.env.bytes;
+      break;
+    case PacketKind::kCts:
+    case PacketKind::kFin:
+      std::swap(p.src, p.dst);  // receiver -> sender
+      break;
+    case PacketKind::kRts:
+      break;
+  }
+  return p;
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -177,59 +207,17 @@ Tag RankCtx::begin_collective(const Comm& c) {
 // RankCtx: outbound pipeline
 // ---------------------------------------------------------------------------
 
-net::Packet RankCtx::to_packet(const OutItem& item) const {
-  net::Packet p;
-  p.id = item.env.id;
-  // The envelope crosses shards by value inside the packet body; the
-  // payload shared_ptr has an atomic refcount, so the copy is shard-safe.
-  p.body = net::WireBody::make<Envelope>(item.env);
-  switch (item.kind) {
-    case OutItem::Kind::kEager:
-      p.src = item.env.src_world;
-      p.dst = item.env.dst_world;
-      p.bytes = item.env.bytes + kCtrlBytes;
-      p.kind = net::PacketKind::kEager;
-      break;
-    case OutItem::Kind::kRts:
-      p.src = item.env.src_world;
-      p.dst = item.env.dst_world;
-      p.bytes = kCtrlBytes;
-      p.kind = net::PacketKind::kRts;
-      break;
-    case OutItem::Kind::kCts:
-      p.src = item.env.dst_world;  // receiver -> sender
-      p.dst = item.env.src_world;
-      p.bytes = kCtrlBytes;
-      p.kind = net::PacketKind::kCts;
-      break;
-    case OutItem::Kind::kRdma:
-      p.src = item.env.src_world;
-      p.dst = item.env.dst_world;
-      p.bytes = item.env.bytes;
-      p.kind = net::PacketKind::kRdmaData;
-      break;
-    case OutItem::Kind::kFin:
-      p.src = item.env.dst_world;  // receiver -> sender
-      p.dst = item.env.src_world;
-      p.bytes = kCtrlBytes;
-      p.kind = net::PacketKind::kFin;
-      break;
-  }
-  return p;
-}
-
 void RankCtx::account_buffered(OutItem& item) {
   if (item.counted) return;
   item.counted = true;
   MpiStats& st = stats_;
-  if (item.kind == OutItem::Kind::kEager) {
+  if (item.kind == PacketKind::kEager) {
     // Message buffering: payload already copied, held unsent.
     msg_buffer_cur_ += item.env.bytes;
     st.message_buffered_bytes += item.env.bytes;
     ++st.messages_buffered;
     st.peak_message_buffer = std::max(st.peak_message_buffer, msg_buffer_cur_);
-  } else if (item.kind == OutItem::Kind::kRts ||
-             item.kind == OutItem::Kind::kCts) {
+  } else if (item.kind == PacketKind::kRts || item.kind == PacketKind::kCts) {
     // Request buffering: the transfer stays incomplete, no copy held.
     st.request_buffered_bytes += item.env.bytes;
     ++st.requests_buffered;
@@ -246,11 +234,10 @@ void RankCtx::push_out(int dst, OutItem item) {
   // a pump frame. The pump would run exactly this with no suspension.
   if (!ob.pump_running && ob.q.empty() && !deferred &&
       mpi_.fabric_.mirror_connected(rank_, dst)) {
-    const bool payload = item.kind == OutItem::Kind::kEager ||
-                         item.kind == OutItem::Kind::kRdma;
+    const bool payload = carries_payload(item.kind);
     if (hooks() == nullptr || !payload) {
       if (payload) record_transmit(item.env.id, dst, item.env.bytes);
-      mpi_.fabric_.transmit(to_packet(item));
+      mpi_.fabric_.transmit(to_packet(item.kind, std::move(item.env)));
       return;
     }
   }
@@ -292,11 +279,9 @@ sim::Task<void> RankCtx::pump(int dst) {
       head.taxed = true;
       sim::Time tax = 0;
       MpiHooks* hk = hooks();
-      const bool payload = head.kind == OutItem::Kind::kEager ||
-                           head.kind == OutItem::Kind::kRdma;
-      if (hk && payload) {
+      if (hk && carries_payload(head.kind)) {
         tax += hk->send_tax(rank_, dst, head.env.bytes);
-        if (head.kind == OutItem::Kind::kRdma && hk->disable_zero_copy()) {
+        if (head.kind == PacketKind::kRdmaData && hk->disable_zero_copy()) {
           const double bps =
               mpi_.cfg_.mem_copy_mbps * static_cast<double>(storage::kMiB);
           tax += static_cast<sim::Time>(static_cast<double>(head.env.bytes) /
@@ -313,14 +298,13 @@ sim::Task<void> RankCtx::pump(int dst) {
     // 4. Transmit.
     OutItem item = std::move(ob.q.front());
     ob.q.pop_front();
-    if (item.counted && item.kind == OutItem::Kind::kEager) {
+    if (item.counted && item.kind == PacketKind::kEager) {
       msg_buffer_cur_ -= item.env.bytes;
     }
-    if (item.kind == OutItem::Kind::kEager ||
-        item.kind == OutItem::Kind::kRdma) {
+    if (carries_payload(item.kind)) {
       record_transmit(item.env.id, dst, item.env.bytes);
     }
-    fab.transmit(to_packet(item));
+    fab.transmit(to_packet(item.kind, std::move(item.env)));
   }
   ob.pump_running = false;
 }
@@ -348,15 +332,14 @@ sim::Task<void> RankCtx::send(const Comm& c, int dst, Tag tag, Bytes bytes,
   if (bytes <= mpi_.cfg_.eager_threshold) {
     // Eager: the payload is copied into a library buffer, so the blocking
     // send completes locally; the pump transmits (or defers) it.
-    push_out(dst_world,
-             OutItem{OutItem::Kind::kEager, std::move(env), true});
+    push_out(dst_world, OutItem{PacketKind::kEager, std::move(env), true});
     exec_->mark_progress();
     co_return;
   }
   // Rendezvous: request stays open until the FIN returns.
   auto req = make_request(/*is_recv=*/false);
   pending_send_.put(env.id, req);
-  push_out(dst_world, OutItem{OutItem::Kind::kRts, std::move(env), true});
+  push_out(dst_world, OutItem{PacketKind::kRts, std::move(env), true});
   co_await wait(req);
 }
 
@@ -373,13 +356,12 @@ Request RankCtx::isend(const Comm& c, int dst, Tag tag, Bytes bytes,
     return req;
   }
   if (bytes <= mpi_.cfg_.eager_threshold) {
-    push_out(dst_world,
-             OutItem{OutItem::Kind::kEager, std::move(env), true});
+    push_out(dst_world, OutItem{PacketKind::kEager, std::move(env), true});
     req->done = true;  // buffered: locally complete
     return req;
   }
   pending_send_.put(env.id, req);
-  push_out(dst_world, OutItem{OutItem::Kind::kRts, std::move(env), true});
+  push_out(dst_world, OutItem{PacketKind::kRts, std::move(env), true});
   return req;
 }
 
@@ -468,7 +450,7 @@ void RankCtx::deliver_eager(const Envelope& env) {
 
 void RankCtx::start_rndv_receive(const Envelope& env, const Request& req) {
   rndv_recv_.put(env.id, req);
-  push_out(env.src_world, OutItem{OutItem::Kind::kCts, env, true});
+  push_out(env.src_world, OutItem{PacketKind::kCts, env, true});
 }
 
 void RankCtx::deliver_rts(const Envelope& env) {
@@ -480,26 +462,20 @@ void RankCtx::deliver_rts(const Envelope& env) {
 }
 
 void RankCtx::on_packet(net::Packet p) {
-  if (p.kind == net::PacketKind::kControl) {
-    assert(control_handler_ && "control packet with no handler installed");
-    if (control_handler_) control_handler_(std::move(p));
-    return;
-  }
-  assert(!p.body.empty() && "data-plane packet without an envelope");
-  const Envelope& env = p.body.get<Envelope>();
+  const Envelope& env = p.env;
   switch (p.kind) {
-    case net::PacketKind::kEager:
+    case PacketKind::kEager:
       deliver_eager(env);
       break;
-    case net::PacketKind::kRts:
+    case PacketKind::kRts:
       deliver_rts(env);
       break;
-    case net::PacketKind::kCts: {
+    case PacketKind::kCts: {
       // We are the original sender: stream the data.
-      push_out(env.dst_world, OutItem{OutItem::Kind::kRdma, env, true});
+      push_out(env.dst_world, OutItem{PacketKind::kRdmaData, env, true});
       break;
     }
-    case net::PacketKind::kRdmaData: {
+    case PacketKind::kRdmaData: {
       Request req = rndv_recv_.take(env.id);
       assert(req && "RDMA data with no receive in progress");
       if (MpiHooks* hk = hooks()) {
@@ -508,17 +484,15 @@ void RankCtx::on_packet(net::Packet p) {
       record_arrival(env.id);
       req->info = fill_info(env);
       complete(req);
-      push_out(env.src_world, OutItem{OutItem::Kind::kFin, env, true});
+      push_out(env.src_world, OutItem{PacketKind::kFin, env, true});
       break;
     }
-    case net::PacketKind::kFin: {
+    case PacketKind::kFin: {
       Request req = pending_send_.take(env.id);
       assert(req && "FIN with no pending send");
       complete(req);
       break;
     }
-    case net::PacketKind::kControl:
-      break;  // handled above
   }
 }
 

@@ -195,11 +195,6 @@ class RankCtx {
   // --- internal: called by the fabric's delivery path (on this shard) ---
   void on_packet(net::Packet p);
 
-  /// Handler for control-plane packets (installed by the C/R framework).
-  void set_control_handler(std::function<void(net::Packet)> h) {
-    control_handler_ = std::move(h);
-  }
-
   /// Marks a request complete and wakes its waiters (used by the
   /// non-blocking collective drivers).
   void finish_request(const Request& req) { complete(req); }
@@ -214,8 +209,7 @@ class RankCtx {
   friend class MiniMPI;
 
   struct OutItem {
-    enum class Kind : std::uint8_t { kEager, kRts, kCts, kRdma, kFin };
-    Kind kind;
+    net::PacketKind kind;
     Envelope env;
     bool gated = false;   // subject to the checkpoint deferral gate
     bool counted = false; // buffering stats recorded already
@@ -252,7 +246,6 @@ class RankCtx {
   void push_out(int dst, OutItem item);
   void account_buffered(OutItem& item);
   sim::Task<void> pump(int dst);
-  net::Packet to_packet(const OutItem& item) const;
   Request make_request(bool is_recv);
   void complete(const Request& req);
   void deliver_eager(const Envelope& env);
@@ -277,7 +270,6 @@ class RankCtx {
   TransferTable pending_send_;  // our rendezvous sends awaiting FIN
   TransferTable rndv_recv_;     // our rendezvous receives awaiting data
   std::vector<std::uint64_t> coll_seq_;  // collective count, by comm id
-  std::function<void(net::Packet)> control_handler_;
   sim::Condition any_complete_;  // wakes wait_any
   Bytes msg_buffer_cur_ = 0;
   std::uint64_t id_counter_ = 0;

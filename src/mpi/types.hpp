@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "net/fabric.hpp"
 #include "sim/condition.hpp"
 #include "sim/time.hpp"
 #include "storage/storage.hpp"
@@ -11,16 +12,15 @@
 namespace gbc::mpi {
 
 using Bytes = storage::Bytes;
-using Tag = std::int64_t;
+// The message envelope is the wire record (net::Packet carries it by value).
+using net::Envelope;
+using net::Payload;
+using net::Tag;
 
 inline constexpr int kAnySource = -1;
 inline constexpr Tag kAnyTag = -1;
 /// Tags at or above this value are reserved for collective implementations.
 inline constexpr Tag kCollectiveTagBase = Tag{1} << 32;
-
-/// Optional semantic content of a message. Most simulated traffic carries
-/// only a byte count, but collectives and correctness tests move real values.
-using Payload = std::shared_ptr<const std::vector<double>>;
 
 inline Payload make_payload(std::vector<double> v) {
   return std::make_shared<const std::vector<double>>(std::move(v));
@@ -49,17 +49,6 @@ struct RecvInfo {
   Tag tag = kAnyTag;
   Bytes bytes = 0;
   Payload data;
-};
-
-/// Message envelope as it travels through the library (world-rank addressed).
-struct Envelope {
-  std::uint64_t comm_id = 0;
-  int src_world = -1;
-  int dst_world = -1;
-  Tag tag = 0;
-  Bytes bytes = 0;
-  Payload data;
-  std::uint64_t id = 0;  ///< unique per message/transfer
 };
 
 /// Request state shared between the app coroutine and the progress engine.

@@ -165,13 +165,7 @@ Fabric::~Fabric() {
   for (int s = 0; s < bus_.shards(); ++s) reclaim(s);
 }
 
-void Fabric::transmit(Packet p) { enqueue(std::move(p), /*data_plane=*/true); }
-
-void Fabric::transmit_control(Packet p) {
-  enqueue(std::move(p), /*data_plane=*/false);
-}
-
-void Fabric::enqueue(Packet p, bool data_plane) {
+void Fabric::transmit(Packet p) {
   assert(p.src >= 0 && p.src < n_ && p.dst >= 0 && p.dst < n_);
   const int src = p.src;
   const int dst = p.dst;
@@ -183,10 +177,8 @@ void Fabric::enqueue(Packet p, bool data_plane) {
   // sender-owned, so only src's shard writes them.
   RankNet::Peer& peer = rn.out[dst];
   ++peer.in_flight;
-  if (data_plane) {
-    peer.bytes += p.bytes;
-    ++peer.msgs;
-  }
+  peer.bytes += p.bytes;
+  ++peer.msgs;
   // Serialize on the sender NIC.
   const double bps =
       cfg_.link_bandwidth_mbps * static_cast<double>(storage::kMiB);

@@ -7,8 +7,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -45,97 +43,44 @@ struct NetConfig {
   TopologySpec topology;
 };
 
-/// Classification of a transfer; the meaning of ids is owned by the MPI
-/// layer, the fabric only accounts for them.
+/// Classification of a transfer; its meaning is owned by the MPI layer, the
+/// fabric only accounts for it.
 enum class PacketKind : std::uint8_t {
   kEager,     // small message, payload travels immediately
   kRts,       // rendezvous request-to-send
   kCts,       // rendezvous clear-to-send
   kRdmaData,  // rendezvous zero-copy bulk data
   kFin,       // rendezvous completion notification
-  kControl,   // checkpoint / connection control
 };
 
-/// Opaque by-value payload carried across shards inside a packet. Unlike
-/// sim::MsgBuf (whose refcount and free list belong to one engine), a
-/// WireBody owns its contents inline: created on the sender's shard,
-/// destroyed on the receiver's, with no shared bookkeeping in between.
-class WireBody {
- public:
-  static constexpr std::size_t kInline = 64;
+using Tag = std::int64_t;
 
-  WireBody() = default;
-  WireBody(std::nullptr_t) noexcept {}  // NOLINT: empty-body literal
-  WireBody(WireBody&& o) noexcept : ops_(std::exchange(o.ops_, nullptr)) {
-    if (ops_) ops_->relocate(buf_, o.buf_);
-  }
-  WireBody& operator=(WireBody&& o) noexcept {
-    if (this != &o) {
-      reset();
-      ops_ = std::exchange(o.ops_, nullptr);
-      if (ops_) ops_->relocate(buf_, o.buf_);
-    }
-    return *this;
-  }
-  WireBody(const WireBody&) = delete;
-  WireBody& operator=(const WireBody&) = delete;
-  ~WireBody() { reset(); }
+/// Optional semantic content of a message. Most simulated traffic carries
+/// only a byte count, but collectives and correctness tests move real values.
+/// The shared_ptr's refcount is atomic, so an envelope may cross shards.
+using Payload = std::shared_ptr<const std::vector<double>>;
 
-  template <typename T, typename... Args>
-  static WireBody make(Args&&... args) {
-    static_assert(sizeof(T) <= kInline && alignof(T) <= alignof(std::max_align_t),
-                  "WireBody payload must fit the inline buffer");
-    static_assert(std::is_nothrow_move_constructible_v<T>);
-    WireBody b;
-    ::new (static_cast<void*>(b.buf_)) T(std::forward<Args>(args)...);
-    b.ops_ = &ops_for<T>;
-    return b;
-  }
-
-  bool empty() const noexcept { return ops_ == nullptr; }
-
-  template <typename T>
-  T& get() {
-    assert(ops_ == &ops_for<T> && "WireBody type mismatch");
-    return *std::launder(reinterpret_cast<T*>(buf_));
-  }
-
- private:
-  struct Ops {
-    void (*relocate)(std::byte* dst, std::byte* src) noexcept;
-    void (*destroy)(std::byte* p) noexcept;
-  };
-  template <typename T>
-  static constexpr Ops ops_for{
-      [](std::byte* dst, std::byte* src) noexcept {
-        T* s = std::launder(reinterpret_cast<T*>(src));
-        ::new (static_cast<void*>(dst)) T(std::move(*s));
-        s->~T();
-      },
-      [](std::byte* p) noexcept {
-        std::launder(reinterpret_cast<T*>(p))->~T();
-      }};
-
-  void reset() noexcept {
-    if (ops_) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
-
-  alignas(std::max_align_t) std::byte buf_[kInline];
-  const Ops* ops_ = nullptr;
+/// MPI message envelope (world-rank addressed), the one record every wire
+/// packet carries: message buffering holds copies of it, request buffering
+/// holds it as the state of an incomplete transfer.
+struct Envelope {
+  std::uint64_t comm_id = 0;
+  int src_world = -1;
+  int dst_world = -1;
+  Tag tag = 0;
+  Bytes bytes = 0;
+  Payload data;
+  std::uint64_t id = 0;  ///< unique per message/transfer
 };
 
+/// One wire transfer: routing fields plus the envelope, carried by value so
+/// a flight can cross shards without touching sender-side state.
 struct Packet {
   int src = -1;
   int dst = -1;
   Bytes bytes = 0;
-  PacketKind kind = PacketKind::kControl;
-  std::uint64_t id = 0;
-  /// Opaque payload owned by the MPI layer, carried by value so a flight
-  /// can cross shards without touching sender-side pools.
-  WireBody body;
+  PacketKind kind = PacketKind::kEager;
+  Envelope env;
 };
 
 enum class ConnState : std::uint8_t {
@@ -183,7 +128,6 @@ class ConnectionManager {
   /// Freeze-locks an endpoint: new establishments touching it stall.
   void lock_endpoint(int ep);
   void unlock_endpoint(int ep);
-  bool endpoint_locked(int ep) const { return locked_[ep]; }
 
   /// Every currently-connected peer of `ep`, ascending. O(degree): a copy
   /// of the endpoint's row, so callers may churn connections while they
@@ -280,11 +224,6 @@ class Fabric {
   /// send pump checks the sender-side connection mirror before calling.
   void transmit(Packet p);
 
-  /// Control-plane message (coordination): does not require an established
-  /// data connection — the C/R framework exchanges these over a dedicated
-  /// channel. Costs per_message_overhead + wire_latency.
-  void transmit_control(Packet p);
-
   /// Sender-side connection mirror check (the pump's fast path). Call on
   /// src's shard.
   bool mirror_connected(int src, int dst) const {
@@ -327,7 +266,7 @@ class Fabric {
   std::size_t flight_recs_outstanding() const noexcept;
   Bytes bytes_between(int a, int b) const;
   std::int64_t messages_between(int a, int b) const;
-  /// Data-plane traffic matrix (bytes), indexed [a*n+b], symmetrized from
+  /// Traffic matrix (bytes), indexed [a*n+b], symmetrized from
   /// the sparse per-sender rows, zero diagonal. Only valid at quiescent
   /// points; during a run use copy_traffic_row() from each rank's own shard.
   std::vector<std::int64_t> traffic_matrix() const;
@@ -420,7 +359,6 @@ class Fabric {
     sim::Condition out_cv;
   };
 
-  void enqueue(Packet p, bool data_plane);
   /// src's record for dst, or nullptr if src never transmitted to dst.
   const RankNet::Peer* out_peer(int src, int dst) const;
   void deliver(Packet p);

@@ -16,8 +16,9 @@ namespace gbc::sim {
 /// noexcept) in the object itself and falls back to the heap beyond that.
 class InlineFn {
  public:
-  /// Sized for the fattest hot-path lambda: fabric delivery captures
-  /// this + Packet (with its shared_ptr body) + a flag, ~64 bytes.
+  /// Sized so the hot-path callables stay inline: a wire flight is one
+  /// pooled FlightRec pointer (the packet lives in the record), and bus
+  /// messages capture a few pointers and ids.
   static constexpr std::size_t kCapacity = 64;
 
   InlineFn() noexcept = default;

@@ -1,7 +1,8 @@
 // gbcsim — command-line driver for the group-based checkpointing simulator.
 //
-//   gbcsim run      one full-stack run, CSV row out (shardable, --shards)
-//   gbcsim delay    measure the Effective Checkpoint Delay of one checkpoint
+//   gbcsim run      one full-stack run (base + checkpointed): Effective /
+//                   Individual / Total Checkpoint Time, CSV row out
+//                   (shardable, --shards)
 //   gbcsim sweep    delay vs. checkpoint group size (Fig. 3/5/7 style row)
 //   gbcsim trace    ASCII Gantt of a checkpoint schedule (Fig. 2 style)
 //   gbcsim recover  inject a failure and restart from the last checkpoint
@@ -289,10 +290,12 @@ int cmd_run(int argc, const char* const* argv) {
   const double delay = ck.completion_seconds() - base.completion_seconds();
   double individual = 0.0;
   double total = 0.0;
+  double storage_fraction = 0.0;
   if (!ck.checkpoints.empty()) {
     const auto& gc = ck.checkpoints.front();
     individual = sim::to_seconds(gc.max_individual_time());
     total = sim::to_seconds(gc.total_checkpoint_time());
+    storage_fraction = gc.storage_fraction();
   }
 
   std::printf("base run                   : %9.3f s\n",
@@ -302,6 +305,8 @@ int cmd_run(int argc, const char* const* argv) {
   std::printf("Effective Checkpoint Delay : %9.3f s\n", delay);
   std::printf("Individual Checkpoint Time : %9.3f s\n", individual);
   std::printf("Total Checkpoint Time      : %9.3f s\n", total);
+  std::printf("storage fraction of downtime: %8.1f %%\n",
+              storage_fraction * 100.0);
   std::printf("state digest               : %016llx\n",
               static_cast<unsigned long long>(digest));
 
@@ -324,34 +329,6 @@ int cmd_run(int argc, const char* const* argv) {
                base.completion_seconds(), ck.completion_seconds(), delay,
                individual, total, static_cast<unsigned long long>(digest));
   std::fclose(f);
-  return 0;
-}
-
-int cmd_delay(int argc, const char* const* argv) {
-  harness::FlagSet flags("gbcsim delay");
-  add_common_flags(flags);
-  flags.add_double("issuance", 30.0, "checkpoint request time (seconds)");
-  if (!flags.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n%s", flags.error().c_str(),
-                 flags.usage().c_str());
-    return flags.help_requested() ? 0 : 2;
-  }
-  auto cluster = make_cluster(flags);
-  if (!apply_erasure_flag(flags, &cluster)) return 2;
-  auto factory = make_workload(flags, cluster.nranks);
-  auto m = harness::measure_effective_delay(
-      cluster, factory, make_ckpt_config(flags),
-      sim::from_seconds(flags.get_double("issuance")),
-      parse_protocol(flags.get_string("protocol")));
-  std::printf("base run                   : %9.2f s\n", m.base_seconds);
-  std::printf("with checkpoint            : %9.2f s\n", m.with_ckpt_seconds);
-  std::printf("Effective Checkpoint Delay : %9.2f s\n",
-              m.effective_delay_seconds());
-  std::printf("Individual Checkpoint Time : %9.2f s\n",
-              m.individual_seconds());
-  std::printf("Total Checkpoint Time      : %9.2f s\n", m.total_seconds());
-  std::printf("storage fraction of downtime: %8.1f %%\n",
-              m.checkpoint.storage_fraction() * 100.0);
   return 0;
 }
 
@@ -555,7 +532,6 @@ void print_toplevel_usage() {
       "\n"
       "commands:\n"
       "  run       one full-stack run, CSV row out (shardable: --shards)\n"
-      "  delay     measure the Effective Checkpoint Delay of one checkpoint\n"
       "  sweep     delay vs. checkpoint group size\n"
       "  trace     ASCII Gantt chart of a checkpoint schedule\n"
       "  recover   inject a failure and restart from the last checkpoint\n"
@@ -567,7 +543,7 @@ void print_toplevel_usage() {
       "  --threads N             worker threads (0 = lease from the budget)\n"
       "  --topology SPEC         flat | fat-tree:<radix>\n"
       "\n"
-      "staging-tier flags (delay/sweep/trace/recover/mtbf):\n"
+      "staging-tier flags (run/sweep/trace/recover/mtbf):\n"
       "  --tier                  enable the node-local staging tier\n"
       "  --local-write-mbps N    local tier write bandwidth per node (MB/s)\n"
       "  --tier-capacity-mib N   local tier capacity per node (0 = unbounded)\n"
@@ -594,7 +570,6 @@ int dispatch(int argc, char** argv) {
   const int rest_argc = argc - 2;
   const char* const* rest_argv = argv + 2;
   if (cmd == "run") return cmd_run(rest_argc, rest_argv);
-  if (cmd == "delay") return cmd_delay(rest_argc, rest_argv);
   if (cmd == "sweep") return cmd_sweep(rest_argc, rest_argv);
   if (cmd == "trace") return cmd_trace(rest_argc, rest_argv);
   if (cmd == "recover") return cmd_recover(rest_argc, rest_argv);

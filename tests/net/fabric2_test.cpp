@@ -30,8 +30,7 @@ TEST(Fabric2, TransferTimeScalesLinearlyWithSize) {
   w.eng.spawn([](World& w) -> Task<void> {
     co_await connect(w.fabric, 0, 1);
     const Time t0 = w.eng.now();
-    w.fabric.transmit(Packet{0, 1, storage::mib(1), PacketKind::kRdmaData, 0,
-                             nullptr});
+    w.fabric.transmit(Packet{0, 1, storage::mib(1), PacketKind::kRdmaData, {}});
     (void)t0;
   }(w));
   w.eng.run();
@@ -52,7 +51,7 @@ TEST(Fabric2, LockDoesNotDisturbEstablishedConnections) {
     co_await connect(w.fabric, 0, 1);
     // Locking an endpoint blocks *new establishment*, not existing traffic.
     w.fabric.connections().lock_endpoint(1);
-    w.fabric.transmit(Packet{0, 1, 512, PacketKind::kEager, 0, nullptr});
+    w.fabric.transmit(Packet{0, 1, 512, PacketKind::kEager, {}});
     co_await w.fabric.connections().drain(0, 1);
     EXPECT_TRUE(g);
     w.fabric.connections().unlock_endpoint(1);
@@ -117,15 +116,13 @@ TEST(Fabric2, PacketCountAndByteAccounting) {
   w.eng.spawn([](World& w) -> Task<void> {
     co_await connect(w.fabric, 0, 1);
     co_await connect(w.fabric, 0, 2);
-    w.fabric.transmit(Packet{0, 1, 100, PacketKind::kEager, 0, nullptr});
-    w.fabric.transmit(Packet{0, 2, 200, PacketKind::kEager, 1, nullptr});
-    w.fabric.transmit_control(Packet{0, 1, 50, PacketKind::kControl, 2,
-                              nullptr});
+    w.fabric.transmit(Packet{0, 1, 100, PacketKind::kEager, {}});
+    w.fabric.transmit(Packet{0, 2, 200, PacketKind::kEager, {}});
   }(w));
   w.eng.run();
-  EXPECT_EQ(w.fabric.packets_sent(), 3);
-  EXPECT_EQ(w.fabric.bytes_sent(), 350);
-  EXPECT_EQ(w.fabric.messages_between(0, 1), 1);  // control not counted
+  EXPECT_EQ(w.fabric.packets_sent(), 2);
+  EXPECT_EQ(w.fabric.bytes_sent(), 300);
+  EXPECT_EQ(w.fabric.messages_between(0, 1), 1);
 }
 
 TEST(Fabric2, ManyPairsEstablishIndependently) {

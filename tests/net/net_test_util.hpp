@@ -7,19 +7,22 @@
 
 namespace gbc::net::testing {
 
-/// The network layer as harness::SimCluster wires it, at one shard: a
-/// one-shard ShardedEngine, the LpBus over it (floored at the fabric's
-/// floor_hop) and the fabric on that bus. Nothing above the fabric is
-/// built, so no checkpoint service installs a deferral gate.
+/// The network layer as harness::SimCluster wires it: a ShardedEngine (one
+/// shard unless asked, one thread per shard, lookahead at the fabric's
+/// floor_hop), the LpBus over it and the fabric on that bus. Nothing above
+/// the fabric is built, so no checkpoint service installs a deferral gate.
 struct NetWorld {
-  sim::ShardedEngine se{sim::ShardedEngine::Options{}};
+  sim::ShardedEngine se;
   sim::Engine& eng = se.shard(0);
   NetConfig cfg;
   sim::LpBus bus;
   Fabric fabric;
 
-  explicit NetWorld(int n, NetConfig c = {})
-      : cfg(c), bus(se, n, Fabric::floor_hop(cfg)), fabric(cfg, bus) {}
+  explicit NetWorld(int n, NetConfig c = {}, int shards = 1)
+      : se(sim::ShardedEngine::Options{shards, Fabric::floor_hop(c), shards}),
+        cfg(c),
+        bus(se, n, Fabric::floor_hop(cfg)),
+        fabric(cfg, bus) {}
   NetWorld(const NetWorld&) = delete;
   NetWorld& operator=(const NetWorld&) = delete;
   // Settle buckets still holding wire flights (a run stopped early) hand
