@@ -143,23 +143,22 @@ void BM_MpiPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_MpiPingPong);
 
-// Message-path allocation churn in isolation: one arena-allocated request
-// record per message, the per-message allocation of the MPI layer
-// (make_request; the envelope itself travels by value inside the packet).
-// Steady state must be allocation-free — the arena stats assert recycling
-// actually happens.
+// Message-path allocation churn in isolation: one pooled request record per
+// message, the per-message allocation of the MPI layer (make_request; the
+// envelope itself travels by value inside the packet). Steady state must be
+// allocation-free — the pool's reuse counter shows recycling happens.
 void BM_MsgAlloc(benchmark::State& state) {
   sim::Engine eng;
-  auto arena = std::make_shared<sim::ArenaCore>();
+  const std::uint64_t reused_before = sim::RecordPool<mpi::ReqState>::reused();
   for (auto _ : state) {
     for (int i = 0; i < 1000; ++i) {
-      auto req = std::allocate_shared<mpi::ReqState>(
-          sim::ArenaAlloc<mpi::ReqState>(arena), eng);
+      mpi::Request req = mpi::Request::make(eng);
       benchmark::DoNotOptimize(req->done);
     }
   }
   state.SetItemsProcessed(state.iterations() * 1000);
-  state.counters["arena_reuse"] = static_cast<double>(arena->reused());
+  state.counters["pool_reuse"] = static_cast<double>(
+      sim::RecordPool<mpi::ReqState>::reused() - reused_before);
 }
 BENCHMARK(BM_MsgAlloc);
 

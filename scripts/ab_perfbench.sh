@@ -22,8 +22,11 @@
 #   --dir WORK_DIR     scratch directory for sources, builds and results
 #                      (default: ${TMPDIR:-/tmp}/gbc-ab)
 #
-# Each run's JSON result lands in WORK_DIR/results/{parent,change}-K.json;
-# re-running with the same WORK_DIR reuses both builds incrementally.
+# Each run's JSON result lands in
+# WORK_DIR/results/WORKLOAD-seedN/{parent,change}-K.json. A run clears only
+# its own workload/seed directory, so A/B runs of several workloads can share
+# one WORK_DIR (and reuse both builds incrementally) without overwriting each
+# other's results.
 set -euo pipefail
 
 REV=HEAD
@@ -41,7 +44,7 @@ while [[ $# -gt 0 ]]; do
     --pairs) PAIRS=$2; shift 2 ;;
     --seconds) SECONDS_PER_RUN=$2; shift 2 ;;
     --dir) WORK_DIR=$2; shift 2 ;;
-    -h|--help) sed -n '2,26p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,29p' "$0"; exit 0 ;;
     *) echo "ab_perfbench: unknown option $1" >&2; exit 2 ;;
   esac
 done
@@ -50,7 +53,7 @@ ROOT=$(cd "$(dirname "$0")/.." && pwd)
 mkdir -p "$WORK_DIR"
 WORK_DIR=$(cd "$WORK_DIR" && pwd)
 PARENT_SRC=$WORK_DIR/parent-src
-RESULTS=$WORK_DIR/results
+RESULTS=$WORK_DIR/results/$WORKLOAD-seed$SEED
 
 # Fresh export of the parent revision (sources only; its build dir is kept).
 SHA=$(git -C "$ROOT" rev-parse --verify "$REV^{commit}")

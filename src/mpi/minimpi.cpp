@@ -168,10 +168,7 @@ void RankCtx::record_arrival(std::uint64_t id) {
 }
 
 Request RankCtx::make_request(bool is_recv) {
-  // One arena allocation covers control block + ReqState + its condition
-  // variable; the storage recycles at message rate.
-  auto req = std::allocate_shared<ReqState>(
-      sim::ArenaAlloc<ReqState>(req_arena_), engine());
+  Request req = Request::make(engine());
   req->is_recv = is_recv;
   return req;
 }

@@ -273,10 +273,6 @@ class RankCtx {
   sim::Condition any_complete_;  // wakes wait_any
   Bytes msg_buffer_cur_ = 0;
   std::uint64_t id_counter_ = 0;
-  /// Request records come from a per-rank arena (single-threaded by design,
-  /// so it cannot be shared across shards).
-  std::shared_ptr<sim::ArenaCore> req_arena_ =
-      std::make_shared<sim::ArenaCore>();
   MpiStats stats_;
   // Consistency-analysis records: transmits this rank originated (with the
   // transfer id), arrivals keyed by id. Merged job-wide at read time.

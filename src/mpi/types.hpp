@@ -52,10 +52,16 @@ struct RecvInfo {
 };
 
 /// Request state shared between the app coroutine and the progress engine.
-/// Requests are created at message rate, so the condition variable is a
-/// direct member (one allocation instead of two) and the whole record is
-/// placed by allocate_shared into the library's request arena.
-struct ReqState {
+/// Requests are created at message rate, so the record (condition variable
+/// included) is one block from the thread-local RecordPool, and Request is a
+/// sim::PoolRef: an intrusive handle whose count is a plain int. That is
+/// sound because a request is created, copied and released only by events
+/// of its rank's home shard — the app coroutine, the rank's matcher and
+/// transfer tables, and the delivery path all run there. A handle stays
+/// readable after completion (`done`, `info`) and may outlive its RankCtx
+/// or the whole cluster: the record needs nothing but its pool to free
+/// itself. Create one with Request::make(engine).
+struct ReqState : sim::PooledRecord {
   explicit ReqState(sim::Engine& eng) : cv(eng) {}
   bool done = false;
   bool is_recv = false;
@@ -67,7 +73,7 @@ struct ReqState {
   sim::Condition cv;
 };
 
-using Request = std::shared_ptr<ReqState>;
+using Request = sim::PoolRef<ReqState>;
 
 /// Reduction operators for reduce/allreduce.
 enum class Op : std::uint8_t { kSum, kMax, kMin, kProd };

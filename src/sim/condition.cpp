@@ -5,41 +5,35 @@ namespace gbc::sim {
 Task<bool> Condition::wait_for(Time timeout) {
   // Race a timer against the condition; whichever settles the shared state
   // first wins, the loser finds `settled` already true and does nothing.
-  auto state = eng_->make_suspend_state();
-  bool notified = false;
-
   struct RaceAwaiter {
     Condition& cv;
     Time timeout;
-    std::shared_ptr<SuspendState>& state;
-    bool& notified;
+    SuspendRef state;
+    bool notified = true;  // a notify wins unless the timer settles first
 
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      state->handle = h;
-      cv.eng_->register_suspension(state);
+      state = cv.eng_->register_suspension(h);
       cv.waiters_.push_back(state);
-      auto s = state;
-      bool* notified_flag = &notified;
-      // The notify path goes through Engine::wake which sets settled before
-      // the resume fires, so mark `notified` from a same-time probe: if the
-      // timer finds the state already settled, the notify won.
-      cv.eng_->schedule_after(timeout, [s, notified_flag] {
+      // The timer holds its own reference: when a notify wins, it fires
+      // after the waiter has resumed and its frame is gone. It reaches the
+      // awaiter's `notified` only while the record is unsettled, i.e. while
+      // the waiter is still parked.
+      cv.eng_->schedule_after(timeout, [s = state, flag = &notified] {
         if (s->settled) return;  // notify already scheduled the resume
         s->settled = true;
-        *notified_flag = false;
+        *flag = false;
         if (s->alive) s->handle.resume();
       });
-      *notified_flag = true;  // default: if notify fires the wake, true holds
     }
-    void await_resume() const {
+    bool await_resume() const {
       state->alive = false;
       if (cv.eng_->aborted()) throw SimAborted{};
+      return notified;
     }
   };
 
-  co_await RaceAwaiter{*this, timeout, state, notified};
-  co_return notified;
+  co_return co_await RaceAwaiter{*this, timeout, nullptr};
 }
 
 }  // namespace gbc::sim

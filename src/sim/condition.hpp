@@ -1,7 +1,6 @@
 #pragma once
 
 #include <coroutine>
-#include <memory>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -21,13 +20,11 @@ class Condition {
 
   struct WaitAwaiter {
     Condition& cv;
-    std::shared_ptr<SuspendState> state;
+    SuspendRef state;
 
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      state = cv.eng_->make_suspend_state();
-      state->handle = h;
-      cv.eng_->register_suspension(state);
+      state = cv.eng_->register_suspension(h);
       cv.waiters_.push_back(state);
     }
     void await_resume() {
@@ -54,8 +51,7 @@ class Condition {
     auto snapshot = std::move(waiters_);
     waiters_.clear();
     // The snapshot's references are dead after this loop, so hand each one
-    // to the engine by move: the wake callback inherits the reference
-    // instead of paying an atomic refcount bump per waiter.
+    // to the engine by move: the wake callback inherits the reference.
     for (auto& s : snapshot) eng_->wake(std::move(s));
   }
 
@@ -92,7 +88,7 @@ class Condition {
 
  private:
   Engine* eng_;
-  std::vector<std::shared_ptr<SuspendState>> waiters_;
+  std::vector<SuspendRef> waiters_;
 };
 
 }  // namespace gbc::sim

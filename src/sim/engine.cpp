@@ -1,6 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -32,7 +31,17 @@ Detached drive(Engine* eng, Task<void> body) {
 
 }  // namespace
 
-Engine::~Engine() = default;
+Engine::~Engine() {
+  // Records can outlive the engine (a Condition, a Request or a dropped
+  // timer callback still holds them): cut them loose so their release never
+  // reaches back into this engine.
+  for (SuspendState* s = susp_head_; s != nullptr;) {
+    SuspendState* next = s->next;
+    s->eng = nullptr;
+    s->prev = s->next = nullptr;
+    s = next;
+  }
+}
 
 std::uint32_t Engine::acquire_slot(InlineFn fn) {
   if (!free_slots_.empty()) {
@@ -103,23 +112,18 @@ void Engine::run_until(Time t) {
 
 void Engine::abort_all() {
   aborted_ = true;
-  // Resuming a suspension can cause other suspensions to deregister or new
-  // (immediately-throwing) ones to appear, so drain by repeated sweeps; any
-  // suspensions registered during a sweep land in the fresh vector and are
-  // handled by the next one.
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    std::vector<std::weak_ptr<SuspendState>> batch;
-    batch.swap(suspensions_);
-    for (auto& w : batch) {
-      auto sp = w.lock();
-      if (sp && sp->alive && !sp->settled) {
-        sp->settled = true;
-        progressed = true;
-        sp->handle.resume();
-      }
+  // One walk of the registration list. Resuming a waiter can release other
+  // records (they unlink themselves) or register new, immediately-throwing
+  // ones (appended at the tail, so this walk reaches them after every older
+  // record). Holding the current record keeps its `next` valid across the
+  // resume.
+  for (SuspendState* s = susp_head_; s != nullptr;) {
+    SuspendRef hold(s);
+    if (s->alive && !s->settled) {
+      s->settled = true;
+      s->handle.resume();
     }
+    s = s->next;
   }
   // Drop any queued callbacks; their targets checked `alive` anyway.
   queue_.clear();
@@ -127,26 +131,9 @@ void Engine::abort_all() {
   free_slots_.clear();
 }
 
-void Engine::register_suspension(const std::shared_ptr<SuspendState>& s) {
-  suspensions_.push_back(s);
-  if (--prune_countdown_ <= 0) {
-    std::erase_if(suspensions_,
-                  [](const std::weak_ptr<SuspendState>& w) {
-                    return w.expired();
-                  });
-    // Amortized: the next prune is at least half a vector's worth of
-    // registrations away, so pruning stays O(1) per registration even when
-    // most entries are long-lived.
-    prune_countdown_ =
-        std::max<int>(256, static_cast<int>(suspensions_.size()));
-  }
-}
-
 void Engine::DelayAwaiter::await_suspend(std::coroutine_handle<> h) {
-  state = eng.make_suspend_state();
-  state->handle = h;
-  eng.register_suspension(state);
-  // Raw capture, not a shared_ptr copy: the awaiter's reference keeps the
+  state = eng.register_suspension(h);
+  // Raw capture, not a SuspendRef copy: the awaiter's reference keeps the
   // record alive while the coroutine is suspended, the callback never
   // touches it after resume(), and a callback dropped unrun (abort_all /
   // teardown clears the queue) destroys only the pointer.

@@ -2,7 +2,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,14 +13,32 @@
 
 namespace gbc::sim {
 
-// Shared suspension record. Every leaf awaitable (timer wait, condition wait)
-// owns one of these; the engine keeps a weak reference so abort_all() can
-// wake every parked coroutine with the abort flag raised.
-struct SuspendState {
-  std::coroutine_handle<> handle{};
+class Engine;
+
+// Suspension record. Every leaf awaitable (timer wait, condition wait) parks
+// on one; the engine links each live record into a list in registration
+// order so abort_all() can wake every parked coroutine with the abort flag
+// raised. A record unlinks itself when its last SuspendRef is released, and
+// ~Engine detaches the records still linked, so a record that outlives its
+// engine (held by a Condition or a dropped timer callback) never touches it.
+// The count is non-atomic (PoolRef): a record is created, woken and released
+// only by events of its engine's shard.
+struct SuspendState : PooledRecord {
+  SuspendState(Engine* owner, std::coroutine_handle<> h) noexcept
+      : handle(h), eng(owner) {}
+  SuspendState(const SuspendState&) = delete;
+  SuspendState& operator=(const SuspendState&) = delete;
+  inline ~SuspendState();
+
+  std::coroutine_handle<> handle;
   bool settled = false;  // a wake has been delivered (or is scheduled)
   bool alive = true;     // awaiter frame still exists
+  Engine* eng;           // engine whose list links this record, or null
+  SuspendState* prev = nullptr;
+  SuspendState* next = nullptr;
 };
+
+using SuspendRef = PoolRef<SuspendState>;
 
 /// Deterministic single-threaded discrete-event engine. Events at equal
 /// timestamps fire in schedule order (FIFO), so runs are fully reproducible.
@@ -85,23 +102,32 @@ class Engine {
   void internal_process_exit() { --live_; }
 
   // --- used by awaitable primitives ---
-  void register_suspension(const std::shared_ptr<SuspendState>& s);
-  /// Allocates a SuspendState from the engine's recycling arena. The arena
-  /// core is kept alive by every control block it produced, so records (and
-  /// the weak_ptrs in suspensions_) may outlive the Engine safely.
-  std::shared_ptr<SuspendState> make_suspend_state() {
-    return std::allocate_shared<SuspendState>(
-        ArenaAlloc<SuspendState>(suspend_arena_));
+  /// Creates the suspension record for h (from the calling thread's
+  /// RecordPool) and links it at the tail of the abort list.
+  SuspendRef register_suspension(std::coroutine_handle<> h) {
+    SuspendRef s = SuspendRef::make(this, h);
+    s->prev = susp_tail_;
+    (susp_tail_ != nullptr ? susp_tail_->next : susp_head_) = s.get();
+    susp_tail_ = s.get();
+    return s;
   }
-  /// Arena backing suspension records; exposed for recycling tests.
-  const std::shared_ptr<ArenaCore>& suspend_arena() const noexcept {
-    return suspend_arena_;
+  /// Suspension records currently linked (a list walk, for checks): zero
+  /// once a run has ended quiescent — no coroutine parked, no wake or timer
+  /// holding a record.
+  std::size_t live_suspensions() const noexcept {
+    std::size_t n = 0;
+    for (const SuspendState* s = susp_head_; s != nullptr; s = s->next) ++n;
+    return n;
   }
-  /// Schedules the resume of a settled suspension at the current time.
-  void wake(const std::shared_ptr<SuspendState>& s) { wake_impl(s); }
-  /// Move form: steals the caller's reference instead of bumping the count
-  /// (the wake callback is what keeps the state alive).
-  void wake(std::shared_ptr<SuspendState>&& s) { wake_impl(std::move(s)); }
+  /// Schedules the resume of a suspension at the current time, unless it
+  /// is already settled; the wake callback inherits the caller's reference.
+  void wake(SuspendRef s) {
+    if (s->settled) return;
+    s->settled = true;
+    schedule_now([s = std::move(s)] {
+      if (s->alive) s->handle.resume();
+    });
+  }
 
   /// Awaitable: suspends the current coroutine for `delay` sim-time.
   auto delay(Time d) { return DelayAwaiter{*this, d, nullptr}; }
@@ -110,7 +136,7 @@ class Engine {
   struct DelayAwaiter {
     Engine& eng;
     Time delay;
-    std::shared_ptr<SuspendState> state;
+    SuspendRef state;
 
     bool await_ready() const noexcept {
       return delay <= 0 && !eng.aborted_;
@@ -123,13 +149,10 @@ class Engine {
   };
 
  private:
-  template <typename Ptr>
-  void wake_impl(Ptr&& s) {
-    if (s->settled) return;
-    s->settled = true;
-    schedule_now([s = std::forward<Ptr>(s)] {
-      if (s->alive) s->handle.resume();
-    });
+  friend struct SuspendState;
+  void unlink(SuspendState* s) noexcept {
+    (s->prev != nullptr ? s->prev->next : susp_head_) = s->next;
+    (s->next != nullptr ? s->next->prev : susp_tail_) = s->prev;
   }
 
   void step(const WheelEvent& ev);
@@ -141,15 +164,18 @@ class Engine {
   TimingWheel queue_;
   std::vector<InlineFn> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::weak_ptr<SuspendState>> suspensions_;
-  std::shared_ptr<ArenaCore> suspend_arena_ = std::make_shared<ArenaCore>();
+  SuspendState* susp_head_ = nullptr;  // live records, registration order
+  SuspendState* susp_tail_ = nullptr;
   std::vector<std::exception_ptr> errors_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_ = 0;
   int live_ = 0;
   bool aborted_ = false;
-  int prune_countdown_ = 256;
 };
+
+SuspendState::~SuspendState() {
+  if (eng != nullptr) eng->unlink(this);
+}
 
 }  // namespace gbc::sim

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <utility>
 #include <vector>
@@ -12,9 +13,9 @@
 // message, suspension and coroutine frame used to be a fresh heap allocation;
 // at millions of events per sweep point the allocator dominates. The pools
 // here trade a little slab bookkeeping for steady-state allocation-free
-// operation. All of them are single-threaded by design: a pool belongs to one
-// Engine, and the sweep runner confines each Engine to one worker thread
-// (DESIGN.md §8), so no atomics are needed.
+// operation. None of them uses atomics: a Pool belongs to one owner that one
+// thread runs at a time (DESIGN.md §8), and the RecordPool/FramePool caches
+// are thread-local.
 //
 // Under AddressSanitizer the pools degrade to plain new/delete so recycling
 // cannot mask use-after-free bugs in the code they serve.
@@ -105,95 +106,158 @@ class Pool {
   std::uint64_t reused_ = 0;
 };
 
-/// Size-class free lists backing ArenaAlloc. Built for std::allocate_shared:
-/// the allocator (holding a shared_ptr to this core) is copied into every
-/// control block it creates, so outstanding shared/weak_ptrs keep the core
-/// alive even after its owning object is destroyed — no destruction-order
-/// hazards between e.g. an Engine's suspension registry and the arena that
-/// allocated the suspension records.
-class ArenaCore {
+/// Thread-local free list of blocks for one per-message record type
+/// (mpi::ReqState, sim::SuspendState). The mechanism is FramePool's: blocks
+/// come from plain ::operator new, so a record released on another thread
+/// than it was created on just migrates to that thread's cache, and a record
+/// outliving whatever created it (its rank, its engine, the whole cluster)
+/// needs no shared core to free itself.
+template <typename T>
+class RecordPool {
  public:
-  static constexpr std::size_t kGranularity = 64;
-  static constexpr std::size_t kClasses = 16;  // blocks up to 1 KiB recycled
+  template <typename... Args>
+  static T* create(Args&&... args) {
+    Cache& c = cache();
+    ++c.live;
+#if GBC_POOLS_PASSTHROUGH
+    return new T(std::forward<Args>(args)...);
+#else
+    void* p = c.free;
+    if (p != nullptr) {
+      c.free = *static_cast<void**>(p);
+      ++c.reused;
+    } else {
+      p = ::operator new(kBlock);
+    }
+    return ::new (p) T(std::forward<Args>(args)...);
+#endif
+  }
 
-  ArenaCore() = default;
-  ArenaCore(const ArenaCore&) = delete;
-  ArenaCore& operator=(const ArenaCore&) = delete;
-  ~ArenaCore() {
-    for (void* head : free_) {
-      while (head != nullptr) {
-        void* next = *static_cast<void**>(head);
-        ::operator delete(head);
-        head = next;
+  /// Out of line, so PoolRef's destructor — run at every handle copy's end
+  /// — stays a decrement and a branch the compiler inlines.
+  [[gnu::noinline]] static void destroy(T* p) noexcept {
+    Cache& c = cache();
+    --c.live;
+#if GBC_POOLS_PASSTHROUGH
+    delete p;
+#else
+    p->~T();
+    *reinterpret_cast<void**>(p) = c.free;
+    c.free = p;
+#endif
+  }
+
+  /// Creations the calling thread served from its free list.
+  static std::uint64_t reused() noexcept { return cache().reused; }
+
+  /// Records alive process-wide: created minus destroyed over every thread,
+  /// exited ones included. Reads the other threads' plain counters, so call
+  /// it only while no simulation is running (after run() returned).
+  static std::int64_t outstanding() {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lk(r.mu);
+    std::int64_t n = r.retired;
+    for (const Cache* c : r.caches) n += c->live;
+    return n;
+  }
+
+ private:
+  static constexpr std::size_t kBlock =
+      sizeof(T) > sizeof(void*) ? sizeof(T) : sizeof(void*);
+
+  struct Cache;
+  struct Registry {
+    std::mutex mu;
+    std::vector<const Cache*> caches;
+    std::int64_t retired = 0;  // net live count of exited threads
+  };
+  // Never destroyed: threads of a static-lifetime pool (the shared
+  // SweepRunner) exit, and unregister their caches, during static
+  // destruction.
+  static Registry& registry() {
+    static Registry* r = new Registry;
+    return *r;
+  }
+
+  struct Cache {
+    void* free = nullptr;
+    std::int64_t live = 0;  // created minus destroyed on this thread
+    std::uint64_t reused = 0;
+    Cache() {
+      Registry& r = registry();
+      std::lock_guard<std::mutex> lk(r.mu);
+      r.caches.push_back(this);
+    }
+    ~Cache() {
+      {
+        Registry& r = registry();
+        std::lock_guard<std::mutex> lk(r.mu);
+        std::erase(r.caches, this);
+        r.retired += live;
+      }
+      while (free != nullptr) {
+        void* next = *static_cast<void**>(free);
+        ::operator delete(free);
+        free = next;
       }
     }
+  };
+  static Cache& cache() {
+    static thread_local Cache c;
+    return c;
   }
-
-  void* allocate(std::size_t bytes) {
-    const std::size_t cls = (bytes + kGranularity - 1) / kGranularity;
-    if (GBC_POOLS_PASSTHROUGH || cls == 0 || cls > kClasses) {
-      return ::operator new(bytes);
-    }
-    void*& head = free_[cls - 1];
-    if (head != nullptr) {
-      void* p = head;
-      head = *static_cast<void**>(p);
-      ++reused_;
-      return p;
-    }
-    return ::operator new(cls * kGranularity);
-  }
-
-  void deallocate(void* p, std::size_t bytes) noexcept {
-    const std::size_t cls = (bytes + kGranularity - 1) / kGranularity;
-    if (GBC_POOLS_PASSTHROUGH || cls == 0 || cls > kClasses) {
-      ::operator delete(p);
-      return;
-    }
-    *static_cast<void**>(p) = free_[cls - 1];
-    free_[cls - 1] = p;
-  }
-
-  /// Allocations served from a free list (recycled storage).
-  std::uint64_t reused() const noexcept { return reused_; }
-
- private:
-  void* free_[kClasses] = {};
-  std::uint64_t reused_ = 0;
 };
 
-/// Allocator adapter over a shared ArenaCore, for std::allocate_shared.
+/// Base of a RecordPool record: the reference count PoolRef maintains.
+struct PooledRecord {
+  int refs = 0;
+};
+
+/// Intrusive counted handle to a RecordPool<T> record (T derives from
+/// PooledRecord); the last handle released destroys the record into the
+/// releasing thread's cache. The count is a plain int, not an atomic: all
+/// handles to one record must be copied and released by one thread at a
+/// time. Simulation records satisfy this by the owner-shard rule — a record
+/// is created, shared and dropped only by events of its owner's shard
+/// (DESIGN.md §9).
 template <typename T>
-class ArenaAlloc {
+class PoolRef {
  public:
-  using value_type = T;
-
-  explicit ArenaAlloc(std::shared_ptr<ArenaCore> core)
-      : core_(std::move(core)) {}
-  template <typename U>
-  ArenaAlloc(const ArenaAlloc<U>& other) noexcept  // NOLINT: allocator rebind
-      : core_(other.core()) {}
-
-  T* allocate(std::size_t n) {
-    if (n != 1) return static_cast<T*>(::operator new(n * sizeof(T)));
-    return static_cast<T*>(core_->allocate(sizeof(T)));
+  PoolRef() noexcept = default;
+  PoolRef(std::nullptr_t) noexcept {}  // NOLINT: implicit, like a pointer
+  /// Takes one more reference to a live record (or to nothing).
+  explicit PoolRef(T* p) noexcept : p_(p) {
+    if (p_ != nullptr) ++p_->refs;
   }
-  void deallocate(T* p, std::size_t n) noexcept {
-    if (n != 1) {
-      ::operator delete(p);
-      return;
-    }
-    core_->deallocate(p, sizeof(T));
+  PoolRef(const PoolRef& o) noexcept : PoolRef(o.p_) {}
+  PoolRef(PoolRef&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+  PoolRef& operator=(PoolRef o) noexcept {
+    std::swap(p_, o.p_);
+    return *this;
+  }
+  ~PoolRef() {
+    if (p_ != nullptr && --p_->refs == 0) RecordPool<T>::destroy(p_);
   }
 
-  const std::shared_ptr<ArenaCore>& core() const noexcept { return core_; }
+  /// Creates a record in the calling thread's pool.
+  template <typename... Args>
+  static PoolRef make(Args&&... args) {
+    return PoolRef(RecordPool<T>::create(std::forward<Args>(args)...));
+  }
 
-  friend bool operator==(const ArenaAlloc& a, const ArenaAlloc& b) noexcept {
-    return a.core_ == b.core_;
+  T* get() const noexcept { return p_; }
+  T* operator->() const noexcept { return p_; }
+  T& operator*() const noexcept { return *p_; }
+  explicit operator bool() const noexcept { return p_ != nullptr; }
+  friend bool operator==(const PoolRef& a, const PoolRef& b) noexcept {
+    return a.p_ == b.p_;
+  }
+  friend bool operator==(const PoolRef& a, std::nullptr_t) noexcept {
+    return a.p_ == nullptr;
   }
 
  private:
-  std::shared_ptr<ArenaCore> core_;
+  T* p_ = nullptr;
 };
 
 /// Thread-local size-class recycler for coroutine frames. Frames for

@@ -236,6 +236,75 @@ TEST(ShardFullStack, PooledFlightPathRecyclesUnderSharding) {
   // assert no record leaked.
 }
 
+using RequestPool = sim::RecordPool<mpi::ReqState>;
+
+// A clean run ends quiescent for the two per-message records: no
+// suspension record is still linked on any shard's engine, and no request
+// record is alive anywhere in the process — while the cluster itself still
+// exists, so nothing the stack owns is holding one.
+void expect_quiescent_after_clean_run(int shards, int threads) {
+  const std::int64_t requests_before = RequestPool::outstanding();
+  ckpt::CkptConfig cc;
+  cc.group_size = 4;
+  SimCluster cluster(sharded_cluster(8, shards, threads), cc);
+  std::unique_ptr<workloads::Workload> wl = microbench_factory(4, 40)(8);
+  wl->setup(cluster.mpi());
+  wl->attach(cluster.checkpoints());
+  cluster.checkpoints().request_at(sim::from_seconds(1),
+                                   ckpt::Protocol::kGroupBased);
+  cluster.spawn_ranks([&](mpi::RankCtx& rank) {
+    return wl->run_rank(rank, {});
+  });
+  cluster.run();
+  ASSERT_EQ(cluster.checkpoints().history().size(), 1u);
+  EXPECT_GT(cluster.mpi().stats().sends, 0);
+  for (int s = 0; s < cluster.sharded().shards(); ++s) {
+    EXPECT_EQ(cluster.sharded().shard(s).live_suspensions(), 0u)
+        << "shard " << s;
+  }
+  EXPECT_EQ(RequestPool::outstanding(), requests_before);
+}
+
+TEST(ShardFullStack, CleanRunEndsWithNoLiveRecordsSerial) {
+  expect_quiescent_after_clean_run(1, 1);
+}
+
+TEST(ShardFullStack, CleanRunEndsWithNoLiveRecordsSharded) {
+  expect_quiescent_after_clean_run(4, 4);
+}
+
+TEST(ShardFullStack, RequestHandleOutlivesItsCluster) {
+  // A Request is a pooled, counted record with no link back to its rank or
+  // engine: a copy taken out of a finished run stays readable, and dropping
+  // it after the whole cluster is gone is clean under ASan (where the pools
+  // pass through to new/delete) and leaves no record behind.
+  const std::int64_t requests_before = RequestPool::outstanding();
+  const storage::Bytes big = 256 * storage::kKiB;  // rendezvous
+  mpi::Request kept;
+  {
+    SimCluster cluster(sharded_cluster(4, 2, 2));
+    cluster.spawn_ranks([&](mpi::RankCtx& rank) {
+      return [](mpi::RankCtx* r, storage::Bytes bytes,
+                mpi::Request* out) -> sim::Task<void> {
+        const mpi::Comm& wc = r->mpi().world();
+        const int peer = r->world_rank() ^ 1;
+        mpi::Request rq = r->irecv(wc, peer, 3);
+        co_await r->send(wc, peer, 3, bytes);
+        co_await r->wait(rq);
+        if (r->world_rank() == 0) *out = rq;
+      }(&rank, big, &kept);
+    });
+    cluster.run();
+  }
+  ASSERT_TRUE(kept);
+  EXPECT_TRUE(kept->done);
+  EXPECT_EQ(kept->info.source, 1);
+  EXPECT_EQ(kept->info.bytes, big);
+  EXPECT_EQ(RequestPool::outstanding(), requests_before + 1);
+  kept = nullptr;
+  EXPECT_EQ(RequestPool::outstanding(), requests_before);
+}
+
 TEST(ShardFullStack, ShardCountOutsideRankRangeIsRejected) {
   auto factory = microbench_factory(2, 10);
   ckpt::CkptConfig cc;

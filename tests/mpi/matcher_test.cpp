@@ -31,7 +31,7 @@ struct MatcherTest : ::testing::Test {
 
   Request make_recv(int match_src, Tag match_tag,
                     std::uint64_t comm = kComm) {
-    auto r = std::make_shared<ReqState>(eng);
+    auto r = Request::make(eng);
     r->is_recv = true;
     r->comm_id = comm;
     r->match_src = match_src;

@@ -102,6 +102,36 @@ TEST(Nonblocking, WaitAnyOnAlreadyCompleteReturnsImmediately) {
   EXPECT_EQ(at, 0);
 }
 
+TEST(Nonblocking, WaitAndWaitAnyOnOneRequestBothWake) {
+  // Two waiters share one receive request: a wait() parks on the request's
+  // own condition, a wait_any() on the rank's any-completion condition.
+  // complete() must wake both, at the arrival time.
+  MpiWorld w(2);
+  sim::Time waited = -1;
+  sim::Time waited_any = -1;
+  w.run_all([&](RankCtx& r) -> sim::Task<void> {
+    const Comm& wc = w.mpi.world();
+    if (r.world_rank() == 1) {
+      co_await r.compute(sim::from_milliseconds(5));
+      co_await r.send(wc, 0, 4, 1024);
+      co_return;
+    }
+    Request rq = r.irecv(wc, 1, 4);
+    r.engine().spawn([](RankCtx& rk, Request req,
+                        sim::Time& at) -> sim::Task<void> {
+      std::vector<Request> set;
+      set.push_back(std::move(req));
+      EXPECT_EQ(co_await rk.wait_any(std::move(set)), 0u);
+      at = rk.engine().now();
+    }(r, rq, waited_any));
+    co_await r.wait(rq);
+    waited = r.engine().now();
+    EXPECT_EQ(rq->info.source, 1);
+  });
+  EXPECT_GE(waited, sim::from_milliseconds(5));
+  EXPECT_EQ(waited_any, waited);
+}
+
 TEST(Nonblocking, IprobeSeesUnexpectedMessage) {
   MpiWorld w(2);
   bool before = true, after = false;

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/pool.hpp"
 #include "sim/task.hpp"
 
 namespace gbc::sim {
@@ -139,6 +141,61 @@ TEST(Condition, WaitForTimedOutWaiterIgnoresLaterNotify) {
   eng.schedule_at(50, [&] { cv.notify_all(); });
   eng.run();
   EXPECT_EQ(wakes, 1);
+}
+
+TEST(Condition, WaitForTimerFiringAfterNotifyIsInert) {
+  // The notify wins at 10 and the waiter resumes then; the timer still owns
+  // a reference to the settled record and fires at 100. It must neither
+  // resume anything nor release the record a second time.
+  const std::int64_t records = RecordPool<SuspendState>::outstanding();
+  Engine eng;
+  Condition cv(eng);
+  int resumes = 0;
+  bool notified = false;
+  eng.spawn([](Condition& c, int& n, bool& out) -> Task<void> {
+    out = co_await c.wait_for(100);
+    ++n;
+  }(cv, resumes, notified));
+  eng.schedule_at(10, [&] { cv.notify_all(); });
+  eng.run_until(50);
+  EXPECT_EQ(resumes, 1);
+  EXPECT_TRUE(notified);
+  EXPECT_EQ(eng.live_suspensions(), 1u);  // held by the pending timer only
+  eng.run();
+  EXPECT_EQ(eng.now(), 100);
+  EXPECT_EQ(resumes, 1);
+  EXPECT_EQ(eng.live_suspensions(), 0u);
+  EXPECT_EQ(RecordPool<SuspendState>::outstanding(), records);
+}
+
+TEST(Condition, RecordsOutlivingTheirEngineNeverTouchIt) {
+  // A record can survive its engine. Releasing it later must not reach the
+  // dead engine (checked under ASan) and must return it to the pool.
+  const std::int64_t records = RecordPool<SuspendState>::outstanding();
+  {
+    // Held by a wait_for timer still queued when the engine dies.
+    auto eng = std::make_unique<Engine>();
+    Condition cv(*eng);
+    eng->spawn([](Condition& c) -> Task<void> {
+      (void)co_await c.wait_for(100);
+    }(cv));
+    eng->schedule_at(10, [&] { cv.notify_all(); });
+    eng->run_until(50);
+    EXPECT_EQ(eng->live_suspensions(), 1u);
+    eng.reset();
+  }
+  EXPECT_EQ(RecordPool<SuspendState>::outstanding(), records);
+  {
+    // Held by a Condition destroyed after the engine: abort_all unwinds the
+    // parked waiter, but the Condition keeps its reference.
+    auto eng = std::make_unique<Engine>();
+    Condition cv(*eng);
+    eng->spawn([](Condition& c) -> Task<void> { co_await c.wait(); }(cv));
+    eng->abort_all();
+    EXPECT_EQ(eng->live_suspensions(), 1u);
+    eng.reset();
+  }
+  EXPECT_EQ(RecordPool<SuspendState>::outstanding(), records);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "sim/condition.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -204,6 +205,47 @@ TEST(Engine, AbortAllUnwindsDeepTaskChains) {
   eng.run_until(1);
   eng.abort_all();
   EXPECT_EQ(destroyed, 3);
+}
+
+// Parks on `cv` (or a long delay when cv is null); on the abort wake logs
+// `id`, then, if asked, parks once more — a registration made during the
+// abort sweep — and logs `id + 10` when that one is aborted too.
+Task<void> park_then_repark(Engine& e, Condition* cv, int id, bool repark,
+                            std::vector<int>& log) {
+  try {
+    if (cv != nullptr) {
+      co_await cv->wait();
+    } else {
+      co_await e.delay(1000 * kSecond);
+    }
+  } catch (const SimAborted&) {
+    log.push_back(id);
+  }
+  if (!repark) co_return;
+  try {
+    co_await e.delay(1000 * kSecond);
+  } catch (const SimAborted&) {
+    log.push_back(id + 10);
+  }
+}
+
+TEST(Engine, AbortAllResumesWaitersInRegistrationOrder) {
+  Engine eng;
+  Condition cv(eng);
+  std::vector<int> log;
+  eng.spawn(park_then_repark(eng, nullptr, 0, false, log));
+  eng.spawn(park_then_repark(eng, &cv, 1, true, log));
+  eng.spawn(park_then_repark(eng, nullptr, 2, true, log));
+  eng.spawn(park_then_repark(eng, &cv, 3, false, log));
+  eng.run_until(10);
+  EXPECT_EQ(eng.live_suspensions(), 4u);
+  eng.abort_all();
+  // Every waiter parked before the abort first, in registration order;
+  // then the ones registered during the sweep, in their own order.
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 11, 12}));
+  EXPECT_EQ(eng.live_processes(), 0);
+  // Only the Condition's own references remain.
+  EXPECT_EQ(eng.live_suspensions(), 2u);
 }
 
 TEST(Engine, ManyInterleavedProcessesKeepDeterministicClock) {

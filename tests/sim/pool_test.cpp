@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
-#include <string>
-#include <utility>
 #include <vector>
 
 namespace gbc::sim {
@@ -58,40 +55,6 @@ TEST(Pool, GrowsAcrossSlabs) {
   EXPECT_EQ(live, 0);
   EXPECT_EQ(pool.outstanding(), 0u);
 }
-
-TEST(Arena, SharedPtrKeepsCoreAliveAfterOwnerDrops) {
-  auto core = std::make_shared<ArenaCore>();
-  std::weak_ptr<ArenaCore> watch = core;
-  auto obj =
-      std::allocate_shared<std::string>(ArenaAlloc<std::string>(core), "hi");
-  // The control block copied the allocator, so dropping our handle must not
-  // destroy the arena while the object (and its storage) are alive.
-  core.reset();
-  EXPECT_FALSE(watch.expired());
-  EXPECT_EQ(*obj, "hi");
-  {
-    std::weak_ptr<std::string> weak_obj = obj;
-    obj.reset();
-    EXPECT_TRUE(weak_obj.expired());
-    // weak_obj still pins the control block, and with it the arena.
-    EXPECT_FALSE(watch.expired());
-  }
-  // Last weak reference gone -> control block freed -> arena torn down.
-  EXPECT_TRUE(watch.expired());
-}
-
-#if !GBC_POOLS_PASSTHROUGH
-TEST(Arena, RecyclesSameSizeClass) {
-  auto core = std::make_shared<ArenaCore>();
-  auto a = std::allocate_shared<std::uint64_t>(
-      ArenaAlloc<std::uint64_t>(core), 7);
-  a.reset();
-  auto b = std::allocate_shared<std::uint64_t>(
-      ArenaAlloc<std::uint64_t>(core), 9);
-  EXPECT_EQ(core->reused(), 1u);
-  EXPECT_EQ(*b, 9u);
-}
-#endif
 
 #if !GBC_POOLS_PASSTHROUGH
 TEST(FramePoolTest, RecyclesSameSizeClass) {

@@ -221,17 +221,18 @@ TEST(EngineWheel, DelayChainAcrossWheelLevels) {
 
 #if !GBC_POOLS_PASSTHROUGH
 // Suspension records (delay/condition waits) must recycle through the
-// engine's arena instead of hitting the heap per wake. Storage is only
-// reclaimed when the engine's lazy weak_ptr prune (every >=256
-// registrations) releases the dead control blocks, so run well past one
-// prune interval.
+// thread's RecordPool instead of hitting the heap per wake: each delay's
+// record is released when its awaiter resumes, so every wait after the
+// first reuses a block.
 TEST(EngineWheel, SuspendStateRecordsRecycle) {
+  const std::uint64_t before = RecordPool<SuspendState>::reused();
   Engine eng;
   eng.spawn([](Engine& e) -> Task<void> {
     for (int i = 0; i < 1000; ++i) co_await e.delay(1);
   }(eng));
   eng.run();
-  EXPECT_GT(eng.suspend_arena()->reused(), 0u);
+  EXPECT_GE(RecordPool<SuspendState>::reused() - before, 999u);
+  EXPECT_EQ(eng.live_suspensions(), 0u);
 }
 #endif
 
